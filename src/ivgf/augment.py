@@ -1,16 +1,18 @@
 """Cutout&mix augmentation for paired modality images.
 
 cutmix swaps grid cells between the two modalities; cutout erases a few
-cells in one randomly chosen modality. Both are driven by an explicit
-RngState, so a (seed, config, inputs) triple always reproduces the same
-pair. Ground-truth masks are never touched: both modalities image the same
-scene, so labels stay valid under either transform.
+cells in one randomly chosen modality. Both are sampled from an explicit
+RngState into an AugRecord, and the record alone decides the pixels, so a
+(seed, config, inputs) triple always reproduces the same pair. Ground-truth
+masks are never touched: both modalities image the same scene, so labels
+stay valid under either transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import DimensionError
 from .rng import RngState
 from .tensor import Tensor
 
@@ -54,7 +56,7 @@ class AugRecord:
 def cell_bounds(h: int, w: int, rows: int, cols: int):
     """Row-major cell rectangles; trailing cells absorb any remainder."""
     if rows > h or cols > w:
-        raise ValueError(f"grid {rows}x{cols} larger than image {h}x{w}")
+        raise DimensionError(f"grid {rows}x{cols} larger than image {h}x{w}")
     rstep, cstep = h // rows, w // cols
     bounds = []
     for r in range(rows):
@@ -67,56 +69,34 @@ def cell_bounds(h: int, w: int, rows: int, cols: int):
     return bounds
 
 
-def cutmix_apply(x: Tensor, y: Tensor, cfg: AugConfig, rng: RngState):
-    """Exchange randomly selected grid cells between the two modalities."""
-    cfg.validate()
+def sample_cutmix(cfg: AugConfig, rng: RngState) -> list:
+    """Cells to exchange between the modalities: one Bernoulli draw per cell."""
     rows, cols = cfg.grid
-    _, h, w = x.shape
-    xd, yd = x.data.copy(), y.data.copy()
-    record = AugRecord()
-    for cell, (r0, r1, c0, c1) in enumerate(cell_bounds(h, w, rows, cols)):
-        if rng.bernoulli(cfg.p_cutmix):
-            patch = xd[:, r0:r1, c0:c1].copy()
-            xd[:, r0:r1, c0:c1] = yd[:, r0:r1, c0:c1]
-            yd[:, r0:r1, c0:c1] = patch
-            record.swapped_cells.append(cell)
-    return Tensor(xd), Tensor(yd), record
+    return [cell for cell in range(rows * cols) if rng.bernoulli(cfg.p_cutmix)]
 
 
-def cutout_apply(x: Tensor, y: Tensor, cfg: AugConfig, rng: RngState):
-    """With probability p_cutout, erase cutout_cells cells in one modality."""
-    cfg.validate()
+def sample_cutout(cfg: AugConfig, rng: RngState) -> tuple[str, list]:
+    """With probability p_cutout, pick one modality and cutout_cells cells to erase."""
     rows, cols = cfg.grid
-    _, h, w = x.shape
-    xd, yd = x.data.copy(), y.data.copy()
-    record = AugRecord()
     if rng.bernoulli(cfg.p_cutout) and cfg.cutout_cells > 0:
-        record.cutout_modality = "ir" if rng.uniform() < 0.5 else "vis"
-        cells = sorted(rng.sample_distinct(rows * cols, cfg.cutout_cells))
-        record.cutout_cells_applied = cells
-        bounds = cell_bounds(h, w, rows, cols)
-        target = xd if record.cutout_modality == "ir" else yd
-        for cell in cells:
-            r0, r1, c0, c1 = bounds[cell]
-            target[:, r0:r1, c0:c1] = cfg.fill_value
-    return Tensor(xd), Tensor(yd), record
+        modality = "ir" if rng.uniform() < 0.5 else "vis"
+        return modality, sorted(rng.sample_distinct(rows * cols, cfg.cutout_cells))
+    return "none", []
 
 
 def cma_apply(x: Tensor, y: Tensor, cfg: AugConfig, rng: RngState):
-    """cutmix then cutout, each on its own derived stream, one merged record."""
+    """cutmix then cutout, each sampled on its own derived stream, one merged record."""
     if not cfg.enabled:
         return Tensor(x.data.copy()), Tensor(y.data.copy()), AugRecord()
-    x1, y1, rec_mix = cutmix_apply(x, y, cfg, rng.derive("cutmix"))
-    x2, y2, rec_out = cutout_apply(x1, y1, cfg, rng.derive("cutout"))
-    return x2, y2, AugRecord(
-        swapped_cells=rec_mix.swapped_cells,
-        cutout_modality=rec_out.cutout_modality,
-        cutout_cells_applied=rec_out.cutout_cells_applied,
-    )
+    cfg.validate()
+    modality, cells = sample_cutout(cfg, rng.derive("cutout"))
+    record = AugRecord(sample_cutmix(cfg, rng.derive("cutmix")), modality, cells)
+    x2, y2 = apply_record(x, y, cfg, record)
+    return x2, y2, record
 
 
 def apply_record(x: Tensor, y: Tensor, cfg: AugConfig, record: AugRecord):
-    """Replay a recorded augmentation on the same inputs, no randomness."""
+    """Swap then erase the recorded cells on copies of the inputs, no randomness."""
     rows, cols = cfg.grid
     _, h, w = x.shape
     bounds = cell_bounds(h, w, rows, cols)

@@ -79,6 +79,7 @@ def _load_scene_dir(path: str, classes: int):
     if not root.is_dir():
         raise FileNotFoundError(f"data directory not found: {path}")
     scenes = []
+    any_labeled = False
     for ir_path in sorted(root.glob("*_ir.ppm")):
         stem = ir_path.name[: -len("_ir.ppm")]
         vis_path = root / f"{stem}_vis.ppm"
@@ -87,6 +88,7 @@ def _load_scene_dir(path: str, classes: int):
             raise FileNotFoundError(f"scene {stem!r} is missing {vis_path.name} or {mask_path.name}")
         mask = io_formats.read_pgm_labels(mask_path)
         labeled = mask[mask != pipeline.IGNORE_LABEL]
+        any_labeled |= labeled.size > 0
         if labeled.size and labeled.max() >= classes:
             raise FormatError(
                 f"{mask_path.name}: label {int(labeled.max())} exceeds head.classes = {classes}"
@@ -100,6 +102,10 @@ def _load_scene_dir(path: str, classes: int):
         )
     if not scenes:
         raise FileNotFoundError(f"no scenes (*_ir.ppm) found in {path}")
+    if not any_labeled:
+        raise FormatError(
+            f"no labeled pixel in {path}: every mask pixel is {pipeline.IGNORE_LABEL}, so mIoU is undefined"
+        )
     return scenes
 
 
@@ -112,6 +118,8 @@ def cmd_forward(args) -> int:
     ir = _read_image(args.ir)
     vis = _read_image(args.vis)
     model = _load_model(cfg, seed, args.ckpt)
+    feats = encoder_forward(ir, vis, model.encoder)
+    logits = pipeline.seg_forward(feats, model.head)
     out_dir = Path(args.out_dir)
 
     outputs = ["mask.pgm"]
@@ -119,8 +127,6 @@ def cmd_forward(args) -> int:
         outputs += [f"feat_s{i}_{tag}.pgm" for i in range(1, 5) for tag in ("x", "y", "xy")]
     _write_metadata(out_dir, "forward", cfg, seed, outputs)
 
-    feats = encoder_forward(ir, vis, model.encoder)
-    logits = pipeline.seg_forward(feats, model.head)
     io_formats.write_pgm_labels(logits.data.argmax(axis=0), out_dir / "mask.pgm")
     if args.dump_features:
         for i, ((fx, fy), fxy) in enumerate(zip(feats.pairs, feats.fused), start=1):
@@ -176,10 +182,10 @@ def cmd_eval(args) -> int:
     seed = _resolve_seed(args.seed, cfg)
     scenes = _load_scene_dir(args.data, cfg.head_classes)
     model = _load_model(cfg, seed, args.ckpt)
+    report = pipeline.evaluate(scenes, model, missing=args.missing)
     out_dir = Path(args.out_dir)
     _write_metadata(out_dir, "eval", cfg, seed, ["report.txt", "report.csv"])
 
-    report = pipeline.evaluate(scenes, model, missing=args.missing)
     (out_dir / "report.txt").write_text(pipeline.report_text(report), encoding="utf-8")
     (out_dir / "report.csv").write_text(pipeline.report_csv(report), encoding="utf-8")
     print(pipeline.report_text(report), end="")
@@ -191,11 +197,11 @@ def cmd_augment(args) -> int:
     seed = _resolve_seed(args.seed, cfg)
     ir = _read_image(args.ir)
     vis = _read_image(args.vis)
+    aug_cfg = pipeline.aug_config_from(cfg)
+    ir2, vis2, record = augment.cma_apply(ir, vis, aug_cfg, RngState(seed).derive("augment"))
     out_dir = Path(args.out_dir)
     _write_metadata(out_dir, "augment", cfg, seed, ["ir_aug.ppm", "vis_aug.ppm", "record.txt"])
 
-    aug_cfg = pipeline.aug_config_from(cfg)
-    ir2, vis2, record = augment.cma_apply(ir, vis, aug_cfg, RngState(seed).derive("augment"))
     io_formats.write_pnm(tensor.Tensor(ir2.data.clip(0.0, 1.0)), out_dir / "ir_aug.ppm")
     io_formats.write_pnm(tensor.Tensor(vis2.data.clip(0.0, 1.0)), out_dir / "vis_aug.ppm")
     (out_dir / "record.txt").write_text(record.as_text(), encoding="utf-8")

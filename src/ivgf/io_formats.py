@@ -52,18 +52,16 @@ def _pnm_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return int(token), end
 
 
-def read_pnm(data: bytes) -> Tensor:
-    """Parse binary P5/P6 bytes into a [3,H,W] tensor with values in [0,1].
+def _parse_pnm_header(data: bytes, magics: tuple) -> tuple[bytes, int, int, int]:
+    """Check a binary PNM header against `magics` and the payload length.
 
-    P5 grayscale is replicated to three identical channels. Only maxval 255
-    is accepted.
+    Returns (magic, width, height, payload offset). Only maxval 255 is
+    accepted, and exactly one whitespace byte separates header and payload.
     """
-    if len(data) < 2:
-        raise FormatError("not a PNM stream: too short", offset=0)
     magic = data[:2]
-    if magic not in (b"P5", b"P6"):
-        raise FormatError(f"bad magic {magic!r}, expected P5 or P6", offset=0)
-    channels = 1 if magic == b"P5" else 3
+    if magic not in magics:
+        expected = " or ".join(m.decode() for m in magics)
+        raise FormatError(f"bad magic {magic!r}, expected {expected}", offset=0)
     width, pos = _pnm_int(data, 2, "width")
     height, pos = _pnm_int(data, pos, "height")
     maxval, pos = _pnm_int(data, pos, "maxval")
@@ -74,18 +72,23 @@ def read_pnm(data: bytes) -> Tensor:
     if pos >= len(data) or data[pos] not in b" \t\r\n\v\f":
         raise FormatError("missing single whitespace before payload", offset=pos)
     pos += 1
-    need = width * height * channels
+    need = width * height * (3 if magic == b"P6" else 1)
     if len(data) - pos < need:
-        raise FormatError(
-            f"payload holds {len(data) - pos} bytes, need {need}", offset=pos
-        )
-    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-    if channels == 1:
-        plane = raw.reshape(height, width).astype(np.float64) / 255.0
-        img = np.stack([plane, plane, plane])
-    else:
-        img = raw.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
-    return Tensor(img)
+        raise FormatError(f"payload holds {len(data) - pos} bytes, need {need}", offset=pos)
+    return magic, width, height, pos
+
+
+def read_pnm(data: bytes) -> Tensor:
+    """Parse binary P5/P6 bytes into a [3,H,W] tensor with values in [0,1].
+
+    P5 grayscale is replicated to three identical channels. Only maxval 255
+    is accepted.
+    """
+    magic, width, height, pos = _parse_pnm_header(data, (b"P5", b"P6"))
+    channels = 1 if magic == b"P5" else 3
+    raw = np.frombuffer(data, dtype=np.uint8, count=width * height * channels, offset=pos)
+    img = raw.reshape(height, width, channels).transpose(2, 0, 1).astype(np.float64) / 255.0
+    return Tensor(np.repeat(img, 3, axis=0) if channels == 1 else img)
 
 
 def read_pnm_file(path) -> Tensor:
@@ -143,18 +146,9 @@ def read_pgm_labels(path) -> np.ndarray:
     """Read a raw P5 file back as an [H,W] integer label map (no scaling)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:2] != b"P5":
-        raise FormatError(f"label maps must be P5, got magic {data[:2]!r}", offset=0)
-    width, pos = _pnm_int(data, 2, "width")
-    height, pos = _pnm_int(data, pos, "height")
-    maxval, pos = _pnm_int(data, pos, "maxval")
-    if maxval != 255:
-        raise FormatError(f"unsupported maxval {maxval}", offset=pos)
-    pos += 1
-    need = width * height
-    if len(data) - pos < need:
-        raise FormatError(f"payload holds {len(data) - pos} bytes, need {need}", offset=pos)
-    return np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(height, width).astype(np.int64)
+    _, width, height, pos = _parse_pnm_header(data, (b"P5",))
+    raw = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    return raw.reshape(height, width).astype(np.int64)
 
 
 # -- checkpoints --------------------------------------------------------------

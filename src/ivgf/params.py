@@ -50,10 +50,6 @@ class ParamStore:
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self._params.items()}
 
-    def clear_grads(self):
-        for p in self._params.values():
-            p.grad = None
-
     def load_arrays(self, arrays: dict[str, np.ndarray]):
         """Copy values in by name; names and shapes must match exactly."""
         missing = [n for n in self._params if n not in arrays]

@@ -11,7 +11,6 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,18 +95,6 @@ class Tensor:
             return (np.full_like(x.data, float(g.reshape(()))),)
 
         return _node(np.asarray(self.data.sum()), "sum", (self,), back)
-
-    def mean(self) -> "Tensor":
-        x = self
-        inv = 1.0 / x.data.size
-
-        def back(g):
-            return (np.full_like(x.data, float(g.reshape(())) * inv),)
-
-        return _node(np.asarray(self.data.mean()), "mean", (self,), back)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
 
 def _as_tensor(value) -> Tensor:
@@ -373,88 +360,34 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _node(s, "softmax_rows", (x,), back)
 
 
-def log_softmax_rows(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise DimensionError(f"log_softmax_rows expects [N,M], got shape {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    logs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-    def back(g):
-        return (g - np.exp(logs) * g.sum(axis=1, keepdims=True),)
-
-    return _node(logs, "log_softmax_rows", (x,), back)
-
-
 # -- pooling ----------------------------------------------------------------
 
 
-def _bin_edges(length: int, out: int):
-    """Adaptive bin i covers [floor(i*L/out), ceil((i+1)*L/out))."""
-    return [(math.floor(i * length / out), math.ceil((i + 1) * length / out)) for i in range(out)]
-
-
 def adaptive_pool(x: Tensor, mode: str, out_size) -> Tensor:
-    """Adaptive pooling: [C,H,W] -> [C,oh,ow], or [N,C] -> [N,out] along rows."""
+    """Pooling into equal bins: [C,H,W] -> [C,1,1] globally, or [N,C] -> [N,out] along rows.
+
+    These are the poolings the model runs (FEM channel descriptors, TEM
+    prompts); for rows, out must divide C.
+    """
     if mode not in ("avg", "max"):
         raise ValueError(f"adaptive_pool mode must be 'avg' or 'max', got {mode!r}")
-    if x.ndim == 3:
-        oh, ow = (out_size, out_size) if isinstance(out_size, int) else tuple(out_size)
-        return _adaptive_pool2d(x, mode, oh, ow)
-    if x.ndim == 2:
-        out = out_size if isinstance(out_size, int) else tuple(out_size)[0]
-        return _adaptive_pool_rows(x, mode, out)
-    raise DimensionError(f"adaptive_pool expects [C,H,W] or [N,C], got shape {x.shape}")
-
-
-def _check_pool_target(target: int, length: int, what: str):
-    if target <= 0:
-        raise ValueError(f"adaptive_pool: {what} target must be >= 1, got {target}")
-    if target > length:
-        raise DimensionError(f"adaptive_pool: {what} target {target} exceeds input {length}")
-
-
-def _adaptive_pool2d(x: Tensor, mode: str, oh: int, ow: int) -> Tensor:
-    c, h, w = x.shape
-    _check_pool_target(oh, h, "height")
-    _check_pool_target(ow, w, "width")
-    rows = _bin_edges(h, oh)
-    cols = _bin_edges(w, ow)
-    out = np.empty((c, oh, ow))
-    argmax = np.empty((c, oh, ow), dtype=np.int64) if mode == "max" else None
-    for i, (r0, r1) in enumerate(rows):
-        for j, (c0, c1) in enumerate(cols):
-            block = x.data[:, r0:r1, c0:c1].reshape(c, -1)
-            if mode == "avg":
-                out[:, i, j] = block.mean(axis=1)
-            else:
-                idx = block.argmax(axis=1)
-                argmax[:, i, j] = idx
-                out[:, i, j] = block[np.arange(c), idx]
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        for i, (r0, r1) in enumerate(rows):
-            for j, (c0, c1) in enumerate(cols):
-                if mode == "avg":
-                    area = (r1 - r0) * (c1 - c0)
-                    gx[:, r0:r1, c0:c1] += (g[:, i, j] / area)[:, None, None]
-                else:
-                    width = c1 - c0
-                    idx = argmax[:, i, j]
-                    gx[np.arange(c), r0 + idx // width, c0 + idx % width] += g[:, i, j]
-        return (gx,)
-
-    return _node(out, f"adaptive_{mode}_pool2d", (x,), back)
-
-
-def _adaptive_pool_rows(x: Tensor, mode: str, out_width: int) -> Tensor:
-    n, c = x.shape
-    _check_pool_target(out_width, c, "width")
-    edges = _bin_edges(c, out_width)
-    out = np.empty((n, out_width))
-    argmax = np.empty((n, out_width), dtype=np.int64) if mode == "max" else None
-    for j, (c0, c1) in enumerate(edges):
-        block = x.data[:, c0:c1]
+    if x.ndim == 3 and out_size == (1, 1):
+        rows, bins, op = x.data.reshape(x.shape[0], -1), 1, f"adaptive_{mode}_pool2d"
+        out_shape = (x.shape[0], 1, 1)
+    elif x.ndim == 2 and isinstance(out_size, int) and out_size >= 1 and x.shape[1] % out_size == 0:
+        rows, bins, op = x.data, out_size, f"adaptive_{mode}_pool_rows"
+        out_shape = (x.shape[0], bins)
+    else:
+        raise DimensionError(
+            f"adaptive_pool supports [C,H,W] -> (1, 1) and [N,C] -> out bins dividing C, "
+            f"got shape {x.shape} -> {out_size!r}"
+        )
+    n, c = rows.shape
+    width = c // bins
+    out = np.empty((n, bins))
+    argmax = np.empty((n, bins), dtype=np.int64) if mode == "max" else None
+    for j in range(bins):
+        block = rows[:, j * width : (j + 1) * width]
         if mode == "avg":
             out[:, j] = block.mean(axis=1)
         else:
@@ -463,15 +396,17 @@ def _adaptive_pool_rows(x: Tensor, mode: str, out_width: int) -> Tensor:
             out[:, j] = block[np.arange(n), idx]
 
     def back(g):
-        gx = np.zeros_like(x.data)
-        for j, (c0, c1) in enumerate(edges):
+        g = g.reshape(n, bins)
+        gx = np.zeros_like(rows)
+        for j in range(bins):
+            c0 = j * width
             if mode == "avg":
-                gx[:, c0:c1] += (g[:, j] / (c1 - c0))[:, None]
+                gx[:, c0 : c0 + width] += (g[:, j] / width)[:, None]
             else:
                 gx[np.arange(n), c0 + argmax[:, j]] += g[:, j]
-        return (gx,)
+        return (gx.reshape(x.shape),)
 
-    return _node(out, f"adaptive_{mode}_pool_rows", (x,), back)
+    return _node(out.reshape(out_shape), op, (x,), back)
 
 
 # -- the tape ---------------------------------------------------------------
@@ -534,24 +469,29 @@ def named_gradients(loss: Tensor, params) -> dict:
 # -- independent gradient oracle ---------------------------------------------
 
 
-def finite_diff_grad(f, x: Tensor, eps: float = 1e-5) -> np.ndarray:
-    """Central differences of a scalar function, element by element.
+def finite_diff_pair(f, x: Tensor, i: int, eps: float) -> tuple[float, float]:
+    """f(x) with flat entry i of x.data moved to x[i]+eps and to x[i]-eps.
 
-    `f` is called with `x` after perturbing x.data in place; the original
-    values are restored before returning. Stays fully independent of the
-    tape: it only ever evaluates f.
+    x.data is perturbed in place and restored before returning. Stays fully
+    independent of the tape: it only ever evaluates f.
     """
+    flat = x.data.reshape(-1)
+    orig = flat[i]
+    flat[i] = orig + eps
+    f_plus = float(f(x))
+    flat[i] = orig - eps
+    f_minus = float(f(x))
+    flat[i] = orig
+    return f_plus, f_minus
+
+
+def finite_diff_grad(f, x: Tensor, eps: float = 1e-5) -> np.ndarray:
+    """Central differences of a scalar function f(x), element by element."""
     if eps <= 0:
         raise ValueError(f"finite_diff_grad eps must be > 0, got {eps}")
-    flat = x.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = float(f(x))
-        flat[i] = orig - eps
-        f_minus = float(f(x))
-        flat[i] = orig
+    grad = np.zeros(x.size)
+    for i in range(x.size):
+        f_plus, f_minus = finite_diff_pair(f, x, i, eps)
         grad[i] = (f_plus - f_minus) / (2.0 * eps)
     return grad.reshape(x.shape)
 

@@ -256,7 +256,8 @@ def test_criterion_6_augmentation_laws():
     x = Tensor(local.uniform(0.05, 0.95, (3, 8, 8)))
     y = Tensor(local.uniform(0.05, 0.95, (3, 8, 8)))
     for i in range(1000):
-        x2, y2, _ = augment.cutmix_apply(x, y, cfg, root.derive("mix", i))
+        cells = augment.sample_cutmix(cfg, root.derive("mix", i))
+        x2, y2 = augment.apply_record(x, y, cfg, augment.AugRecord(swapped_cells=cells))
         before = np.sort(np.concatenate([x.data.ravel(), y.data.ravel()]))
         after = np.sort(np.concatenate([x2.data.ravel(), y2.data.ravel()]))
         conservation &= bool(np.array_equal(before, after))
@@ -268,7 +269,9 @@ def test_criterion_6_augmentation_laws():
     counting = True
     cut_cfg = augment.AugConfig(grid=(4, 4), p_cutout=1.0, cutout_cells=2, fill_value=0.0)
     for i in range(200):
-        x2, y2, rec = augment.cutout_apply(x, y, cut_cfg, root.derive("cut", i))
+        modality, cells = augment.sample_cutout(cut_cfg, root.derive("cut", i))
+        rec = augment.AugRecord(cutout_modality=modality, cutout_cells_applied=cells)
+        x2, y2 = augment.apply_record(x, y, cut_cfg, rec)
         changed = np.count_nonzero(x2.data != x.data) + np.count_nonzero(y2.data != y.data)
         counting &= changed == 2 * 4 * 3  # cells * cell area * channels
         target = x2 if rec.cutout_modality == "ir" else y2
@@ -283,11 +286,10 @@ def test_criterion_6_augmentation_laws():
 
     # modality frequency over 10k trials at p_cutout = 0.5
     hits = 0
-    small = Tensor(np.full((1, 4, 4), 0.5))
     freq_cfg = augment.AugConfig(grid=(2, 2), p_cutout=0.5, cutout_cells=1)
     for i in range(10_000):
-        _, _, rec = augment.cutout_apply(small, small, freq_cfg, root.derive("freq", i))
-        hits += rec.cutout_modality == "ir"
+        modality, _ = augment.sample_cutout(freq_cfg, root.derive("freq", i))
+        hits += modality == "ir"
     freq = hits / 10_000
     freq_ok = abs(freq - 0.25) <= 0.02
 

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from ivgf.augment import AugConfig, AugRecord, apply_record, cell_bounds, cma_apply, cutmix_apply, cutout_apply
+from ivgf.augment import (
+    AugConfig,
+    AugRecord,
+    apply_record,
+    cell_bounds,
+    cma_apply,
+    sample_cutmix,
+    sample_cutout,
+)
+from ivgf.errors import DimensionError
 from ivgf.rng import RngState
 from ivgf.tensor import Tensor
 
@@ -11,6 +20,19 @@ from ivgf.tensor import Tensor
 def _pair(seed, c=3, h=8, w=8):
     rng = np.random.default_rng(seed)
     return Tensor(rng.uniform(0.1, 0.9, (c, h, w))), Tensor(rng.uniform(0.1, 0.9, (c, h, w)))
+
+
+def cutmix(x, y, cfg, rng):
+    """Sample cutmix alone on `rng`, then apply it through the record."""
+    record = AugRecord(swapped_cells=sample_cutmix(cfg, rng))
+    return (*apply_record(x, y, cfg, record), record)
+
+
+def cutout(x, y, cfg, rng):
+    """Sample cutout alone on `rng`, then apply it through the record."""
+    modality, cells = sample_cutout(cfg, rng)
+    record = AugRecord(cutout_modality=modality, cutout_cells_applied=cells)
+    return (*apply_record(x, y, cfg, record), record)
 
 
 class TestCellGrid:
@@ -29,7 +51,7 @@ class TestCellGrid:
         assert total == 10 * 7
 
     def test_grid_larger_than_image_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError):
             cell_bounds(3, 3, 4, 4)
 
 
@@ -37,7 +59,7 @@ class TestCutmix:
     def test_p_zero_is_identity_with_empty_record(self):
         x, y = _pair(0)
         cfg = AugConfig(p_cutmix=0.0)
-        x2, y2, rec = cutmix_apply(x, y, cfg, RngState(1))
+        x2, y2, rec = cutmix(x, y, cfg, RngState(1))
         assert np.array_equal(x2.data, x.data) and np.array_equal(y2.data, y.data)
         assert rec.swapped_cells == []
 
@@ -46,7 +68,7 @@ class TestCutmix:
         # is symmetric: x' takes y exactly where y' takes x
         x, y = _pair(1)
         cfg = AugConfig(p_cutmix=0.5)
-        x2, y2, rec = cutmix_apply(x, y, cfg, RngState(42))
+        x2, y2, rec = cutmix(x, y, cfg, RngState(42))
         assert rec.swapped_cells  # seed chosen so something swaps
         from_x = x2.data == x.data
         from_y = x2.data == y.data
@@ -58,7 +80,7 @@ class TestCutmix:
     def test_pixel_conservation(self):
         x, y = _pair(2)
         cfg = AugConfig(p_cutmix=0.5)
-        x2, y2, _ = cutmix_apply(x, y, cfg, RngState(7))
+        x2, y2, _ = cutmix(x, y, cfg, RngState(7))
         before = np.sort(np.concatenate([x.data.reshape(-1), y.data.reshape(-1)]))
         after = np.sort(np.concatenate([x2.data.reshape(-1), y2.data.reshape(-1)]))
         assert np.array_equal(before, after)
@@ -67,7 +89,7 @@ class TestCutmix:
         x = Tensor(np.full((3, 8, 8), 0.25))
         y = Tensor(np.full((3, 8, 8), 0.75))
         cfg = AugConfig(grid=(4, 4), p_cutmix=0.5)
-        _, _, rec = cutmix_apply(x, y, cfg, RngState(42))
+        _, _, rec = cutmix(x, y, cfg, RngState(42))
         # independent replay of the same stream decides the same cells
         replay = RngState(42)
         expected = [cell for cell in range(16) if replay.uniform() < 0.5]
@@ -77,7 +99,7 @@ class TestCutmix:
 class TestCutout:
     def test_p_zero_is_identity(self):
         x, y = _pair(3)
-        x2, y2, rec = cutout_apply(x, y, AugConfig(p_cutout=0.0), RngState(5))
+        x2, y2, rec = cutout(x, y, AugConfig(p_cutout=0.0), RngState(5))
         assert np.array_equal(x2.data, x.data) and np.array_equal(y2.data, y.data)
         assert rec.cutout_modality == "none"
 
@@ -86,7 +108,7 @@ class TestCutout:
         x = Tensor(np.full((3, 8, 8), 0.4))
         y = Tensor(np.full((3, 8, 8), 0.6))
         cfg = AugConfig(grid=(4, 4), p_cutout=1.0, cutout_cells=2, fill_value=0.0)
-        x2, y2, rec = cutout_apply(x, y, cfg, RngState(11))
+        x2, y2, rec = cutout(x, y, cfg, RngState(11))
         changed_x = np.count_nonzero(x2.data != x.data)
         changed_y = np.count_nonzero(y2.data != y.data)
         assert len(rec.cutout_cells_applied) == 2
@@ -102,7 +124,7 @@ class TestCutout:
         for seed in range(40):
             x, y = _pair(seed + 100)
             cfg = AugConfig(p_cutout=1.0, cutout_cells=3, fill_value=0.0)
-            x2, y2, rec = cutout_apply(x, y, cfg, RngState(seed))
+            x2, y2, rec = cutout(x, y, cfg, RngState(seed))
             touched_x = not np.array_equal(x2.data, x.data)
             touched_y = not np.array_equal(y2.data, y.data)
             assert touched_x != touched_y
@@ -117,7 +139,7 @@ class TestCutout:
         hits = 0
         trials = 10_000
         for i in range(trials):
-            _, _, rec = cutout_apply(x, y, cfg, root.derive("trial", i))
+            _, _, rec = cutout(x, y, cfg, root.derive("trial", i))
             hits += rec.cutout_modality == "ir"
         assert abs(hits / trials - 0.25) <= 0.02
 
@@ -144,8 +166,9 @@ class TestCma:
         cfg = AugConfig(p_cutmix=0.4, p_cutout=0.9, cutout_cells=2)
         root = RngState(55)
         xa, ya, rec = cma_apply(x, y, cfg, root)
-        x1, y1, rec_mix = cutmix_apply(x, y, cfg, RngState(55).derive("cutmix"))
-        x2, y2, rec_out = cutout_apply(x1, y1, cfg, RngState(55).derive("cutout"))
+        x1, y1, rec_mix = cutmix(x, y, cfg, RngState(55).derive("cutmix"))
+        x2, y2, rec_out = cutout(x1, y1, cfg, RngState(55).derive("cutout"))
+        # the merged record replays to the same pixels as the two steps in turn
         assert np.array_equal(xa.data, x2.data) and np.array_equal(ya.data, y2.data)
         assert rec.swapped_cells == rec_mix.swapped_cells
         assert rec.cutout_modality == rec_out.cutout_modality

@@ -74,15 +74,18 @@ class TestForward:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
-    def test_indivisible_image_is_exit_2(self, tmp_path, small_config):
+    def test_indivisible_image_is_exit_2(self, tmp_path, small_config, capsys):
         rng = np.random.default_rng(1)
         ir = tmp_path / "odd_ir.ppm"
         vis = tmp_path / "odd_vis.ppm"
         io_formats.write_pnm(rng.uniform(0, 1, (3, 40, 40)), ir)
         io_formats.write_pnm(rng.uniform(0, 1, (3, 40, 40)), vis)
+        out = tmp_path / "o"
         code = cli.main(["forward", "--config", small_config, "--ir", str(ir), "--vis", str(vis),
-                         "--out-dir", str(tmp_path / "o")])
+                         "--out-dir", str(out)])
         assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()  # nothing is written before the input is known to be usable
 
     def test_ckpt_config_mismatch_is_shape_error(self, tmp_path, small_config, image_pair):
         ir, vis = image_pair
@@ -121,6 +124,12 @@ class TestGradcheckCommand:
         from ivgf import tensor
 
         assert tensor.FAULT_SIGN_OP is None  # hook cleared afterwards
+
+    def test_relu_kink_inside_the_step_is_not_a_violation(self, capsys):
+        # at suite seed 20 a ReLU switches within +-eps of one end-to-end
+        # entry, so the central difference is off by 7e-2 while the tape is right
+        assert cli.main(["gradcheck", "--trials", "1", "--seed", "20"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestTrainEval:
@@ -177,6 +186,19 @@ class TestAugmentCommand:
         assert (out / "ir_aug.ppm").exists() and (out / "vis_aug.ppm").exists()
         record = (out / "record.txt").read_text()
         assert "cutout_modality" in record and "swapped_cells" in record
+
+    def test_image_smaller_than_grid_is_exit_4_and_leaves_no_results_dir(self, tmp_path, small_config, capsys):
+        rng = np.random.default_rng(3)
+        ir = tmp_path / "tiny_ir.ppm"
+        vis = tmp_path / "tiny_vis.ppm"
+        io_formats.write_pnm(rng.uniform(0, 1, (3, 2, 2)), ir)
+        io_formats.write_pnm(rng.uniform(0, 1, (3, 2, 2)), vis)
+        out = tmp_path / "aug"
+        code = cli.main(["augment", "--config", small_config, "--ir", str(ir), "--vis", str(vis),
+                         "--seed", "3", "--out-dir", str(out)])
+        assert code == 4
+        assert "grid 4x4 larger than image 2x2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSeedPrecedence:
@@ -239,3 +261,24 @@ def test_eval_rejects_mask_with_oversized_labels(tmp_path, small_config):
     code = cli.main(["eval", "--config", small_config, "--ckpt", str(ckpt),
                      "--data", str(data), "--out-dir", str(tmp_path / "o")])
     assert code == 3
+
+
+def test_eval_with_every_pixel_ignored_is_exit_3(tmp_path, small_config, capsys):
+    # no labeled pixel anywhere leaves mIoU undefined
+    rng = np.random.default_rng(4)
+    data = tmp_path / "data"
+    data.mkdir()
+    for stem in ("a", "b"):
+        io_formats.write_pnm(rng.uniform(0, 1, (3, 32, 32)), data / f"{stem}_ir.ppm")
+        io_formats.write_pnm(rng.uniform(0, 1, (3, 32, 32)), data / f"{stem}_vis.ppm")
+        io_formats.write_pgm_labels(np.full((32, 32), pipeline.IGNORE_LABEL), data / f"{stem}_mask.pgm")
+    ckpt = tmp_path / "m.ckpt"
+    model = pipeline.build_model(io_formats.parse_config(SMALL_CFG), seed=0)
+    io_formats.save_checkpoint(model.store, ckpt)
+    out = tmp_path / "o"
+    code = cli.main(["eval", "--config", small_config, "--ckpt", str(ckpt),
+                     "--data", str(data), "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "no labeled pixel" in err
+    assert not out.exists()

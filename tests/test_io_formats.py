@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivgf.errors import ConfigError, DimensionError, FormatError
 from ivgf.io_formats import (
@@ -94,6 +96,56 @@ class TestWritePnm:
         path = tmp_path / "mask.pgm"
         write_pgm_labels(ids, path)
         assert np.array_equal(read_pgm_labels(path), ids)
+
+
+# headers close to valid ones reach the size, maxval, separator and payload
+# checks; raw bytes cover everything else
+_PNM_LIKE = st.one_of(
+    st.binary(max_size=48),
+    st.builds(
+        lambda magic, w, h, maxval, sep, payload: magic + b" %d %d %d" % (w, h, maxval) + sep + payload,
+        st.sampled_from([b"P5", b"P6", b"P4", b"P5#c\n"]),
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.sampled_from([255, 0, 65535]),
+        st.sampled_from([b"", b" ", b"\n", b"#", b"\r\n"]),
+        st.binary(max_size=48),
+    ),
+)
+
+
+class TestPnmHeader:
+    @pytest.mark.parametrize(
+        "raw", [b"P5 2 2 255#" + bytes(4), b"P5 0 3 255\n"], ids=["comment_as_separator", "zero_width"]
+    )
+    def test_labels_reject_headers_that_images_reject(self, tmp_path, raw):
+        path = tmp_path / "mask.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError):
+            read_pnm(raw)
+        with pytest.raises(FormatError):
+            read_pgm_labels(path)
+
+    def test_labels_reject_p6(self, tmp_path):
+        path = tmp_path / "mask.pgm"
+        path.write_bytes(b"P6\n1 1\n255\n" + bytes(3))
+        with pytest.raises(FormatError, match="magic"):
+            read_pgm_labels(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_PNM_LIKE)
+    def test_arbitrary_bytes_raise_only_format_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+        path.write_bytes(raw)
+        rejected = []
+        for parse in (lambda: read_pnm(raw), lambda: read_pgm_labels(path)):
+            try:
+                parse()
+                rejected.append(False)
+            except FormatError:
+                rejected.append(True)
+        if raw[:2] == b"P5":  # a P5 label map is accepted exactly when the image is
+            assert rejected[0] == rejected[1]
 
 
 class TestCheckpoint:
