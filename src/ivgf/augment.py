@@ -86,6 +86,8 @@ def sample_cutout(cfg: AugConfig, rng: RngState) -> tuple[str, list]:
 
 def cma_apply(x: Tensor, y: Tensor, cfg: AugConfig, rng: RngState):
     """cutmix then cutout, each sampled on its own derived stream, one merged record."""
+    if x.shape != y.shape:
+        raise DimensionError(f"modality shapes differ: {x.shape} vs {y.shape}")
     if not cfg.enabled:
         return Tensor(x.data.copy()), Tensor(y.data.copy()), AugRecord()
     cfg.validate()

@@ -4,7 +4,7 @@ synthetic data generation.
 
 Exit codes are a stable contract:
   0 success, 1 gradient-check violation, 2 config or argument error,
-  3 I/O or format error, 4 shape error, 5 non-finite loss.
+  3 I/O or format error, 4 shape error, 5 non-finite loss or parameter.
 
 Seed precedence: --seed flag > IVGF_SEED env var > train.seed config key.
 """
@@ -17,8 +17,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, augment, gradcheck, io_formats, pipeline, tensor
-from .backbone import encoder_forward, feature_projection
+from .backbone import feature_projection
 from .errors import ConfigError, DimensionError, FormatError, NonFiniteError
 from .rng import RngState
 
@@ -43,8 +45,8 @@ def _resolve_seed(flag_seed, cfg) -> int:
 
 
 def _write_metadata(out_dir: Path, command: str, cfg, seed: int, outputs) -> None:
-    # metadata goes down before any result file; a results directory
-    # without it is invalid
+    # commands call this once their results are computed, so a failed
+    # command leaves no directory; metadata goes down before any result file
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
         f"command = {command}",
@@ -118,8 +120,7 @@ def cmd_forward(args) -> int:
     ir = _read_image(args.ir)
     vis = _read_image(args.vis)
     model = _load_model(cfg, seed, args.ckpt)
-    feats = encoder_forward(ir, vis, model.encoder)
-    logits = pipeline.seg_forward(feats, model.head)
+    feats, logits = pipeline.model_forward(model, ir, vis)
     out_dir = Path(args.out_dir)
 
     outputs = ["mask.pgm"]
@@ -166,14 +167,15 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_toy(args) -> int:
     cfg = io_formats.load_config(args.config)
     seed = _resolve_seed(args.seed, cfg)
+    model, losses = pipeline.train_toy(cfg, steps=args.steps, seed=seed)
+    ckpt = io_formats.encode_checkpoint(model.store)
+    curve = "step,loss\n" + "".join(f"{i},{loss!r}\n" for i, loss in enumerate(losses))
     out_dir = Path(args.out_dir)
     ckpt_path = Path(args.out_ckpt) if args.out_ckpt else out_dir / "model.ckpt"
     _write_metadata(out_dir, "train-toy", cfg, seed, ["loss_curve.csv", ckpt_path.name])
 
-    model, losses = pipeline.train_toy(cfg, steps=args.steps, seed=seed)
-    curve = "step,loss\n" + "".join(f"{i},{loss!r}\n" for i, loss in enumerate(losses))
     (out_dir / "loss_curve.csv").write_text(curve, encoding="utf-8")
-    io_formats.save_checkpoint(model.store, ckpt_path)
+    ckpt_path.write_bytes(ckpt)
     return EXIT_OK
 
 
@@ -214,12 +216,12 @@ def cmd_make_data(args) -> int:
     count = args.count if args.count is not None else (
         cfg.data_train_scenes if args.split == "train" else cfg.data_eval_scenes
     )
+    scenes = pipeline.make_dataset(seed, args.split, count, cfg.data_image_size, cfg.head_classes)
     out_dir = Path(args.out_dir)
     names = [f"scene_{i:03d}" for i in range(count)]
     outputs = [f"{n}_{suffix}" for n in names for suffix in ("ir.ppm", "vis.ppm", "mask.pgm")]
     _write_metadata(out_dir, "make-data", cfg, seed, outputs)
 
-    scenes = pipeline.make_dataset(seed, args.split, count, cfg.data_image_size, cfg.head_classes)
     for name, scene in zip(names, scenes):
         io_formats.write_pnm(scene.ir, out_dir / f"{name}_ir.ppm")
         io_formats.write_pnm(scene.vis, out_dir / f"{name}_vis.ppm")
@@ -285,7 +287,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # non-finite values are detected explicitly and reported as exit 5
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except SystemExit as exc:  # argparse reports bad flags with code 2
         return int(exc.code or 0)
     except ConfigError as exc:

@@ -20,4 +20,4 @@ class FormatError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A forward value went NaN/Inf; message names the first offending node."""
+    """A loss or parameter went NaN/Inf (or overflows float32 storage); the message names where."""

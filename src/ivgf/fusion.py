@@ -20,11 +20,11 @@ from .rng import RngState
 from .tensor import (
     Tensor,
     adaptive_pool,
+    attention,
     concat,
     conv2d,
     layer_norm,
     linear,
-    matmul,
     narrow,
     relu,
     reshape,
@@ -284,19 +284,10 @@ def multi_head_attention(tq: Tensor, tkv: Tensor, proj: AttnProj, heads: int) ->
     c = tq.shape[1]
     if heads < 1 or c % heads != 0:
         raise ConfigError(f"attention heads {heads} must divide channel width {c}")
-    d = c // heads
-    scale = 1.0 / (d**0.5)
     q = linear(tq, proj.q_w, proj.q_b)
     k = linear(tkv, proj.k_w, proj.k_b)
     v = linear(tkv, proj.v_w, proj.v_b)
-    outs = []
-    for h in range(heads):
-        qh = narrow(q, 1, h * d, d)
-        kh = narrow(k, 1, h * d, d)
-        vh = narrow(v, 1, h * d, d)
-        attn = softmax_rows(matmul(qh, transpose(kh)) * scale)
-        outs.append(matmul(attn, vh))
-    return outs[0] if heads == 1 else concat(outs, axis=1)
+    return attention(q, k, v, heads)
 
 
 def cross_attention(q_src: Tensor, kv_src: Tensor, agf: AgfParams, direction: str) -> Tensor:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError, NonFiniteError
 from .params import ParamStore
 from .tensor import Tensor
 
@@ -158,21 +158,17 @@ def encode_checkpoint(store: ParamStore) -> bytes:
     """magic | u32 version | u32 count | (u32 name_len, name, u32 ndim, u32 dims..., f32 values...)."""
     chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(store))]
     for name, p in store.items():
-        if not np.all(np.isfinite(p.data)):
-            raise ValueError(f"refusing to save non-finite parameter {name!r}")
+        with np.errstate(over="ignore"):  # overflow shows up as inf, checked next
+            values = p.data.astype("<f4")
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteError(f"parameter {name!r} is not finite in float32; refusing to save it")
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(encoded)))
         chunks.append(encoded)
         chunks.append(struct.pack("<I", p.data.ndim))
         chunks.append(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-        chunks.append(p.data.astype("<f4").tobytes())
+        chunks.append(values.tobytes())
     return b"".join(chunks)
-
-
-def save_checkpoint(store: ParamStore, path) -> None:
-    data = encode_checkpoint(store)
-    with open(path, "wb") as fh:
-        fh.write(data)
 
 
 def decode_checkpoint(data: bytes) -> ParamStore:

@@ -61,32 +61,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return _node(-self.data, "neg", (self,), lambda g: (-g,))
 
     def __truediv__(self, c):
         if isinstance(c, Tensor):
             raise TypeError("tensor/tensor division is not a supported kernel")
         inv = 1.0 / float(c)
         return _node(self.data * inv, "divs", (self,), lambda g: (g * inv,))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self) -> "Tensor":
         x = self
@@ -130,13 +112,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _node(a.data + b.data, "add", (a, b), back)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _node(a.data - b.data, "sub", (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -240,18 +215,6 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
 
 
 # -- dense kernels ----------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-
-    def back(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _node(a.data @ b.data, "matmul", (a, b), back)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -358,6 +321,49 @@ def softmax_rows(x: Tensor) -> Tensor:
         return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
 
     return _node(s, "softmax_rows", (x,), back)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head softmax(Q K^T / sqrt(d)) V for queries [N,C] and keys/values [M,C].
+
+    Head h owns columns [h*d, (h+1)*d) with d = C/heads. The heads run as
+    contiguous [h, rows, d] stacks through batched matmuls and the
+    softmax_rows expressions along the last axis, so each head computes
+    exactly what a per-head 2-d loop would. Gradients come back
+    C-contiguous: numpy sums an F-ordered array in another order, which
+    would change the bias gradients of the linear layers feeding q, k, v.
+    """
+    if q.ndim != 2 or k.ndim != 2 or v.shape != k.shape or q.shape[1] != k.shape[1]:
+        raise DimensionError(
+            f"attention expects q [N,C] and k, v [M,C], got {q.shape}, {k.shape}, {v.shape}"
+        )
+    (n, c), m = q.shape, k.shape[0]
+    if heads < 1 or c % heads != 0:
+        raise DimensionError(f"attention heads {heads} must divide channel width {c}")
+    d = c // heads
+    scale = 1.0 / (d**0.5)
+
+    def split(x, rows):  # [rows, C] -> [h, rows, d]
+        return np.ascontiguousarray(x.reshape(rows, heads, d).transpose(1, 0, 2))
+
+    def merge(x, rows):  # [h, rows, d] -> C-contiguous [rows, C]
+        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(rows, c)
+
+    qh, vh = split(q.data, n), split(v.data, m)
+    kt = np.ascontiguousarray(k.data.reshape(m, heads, d).transpose(1, 2, 0))  # [h, d, M]
+    z = (qh @ kt) * scale
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        go = split(g, n)
+        gs = go @ vh.transpose(0, 2, 1)
+        gz = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * scale
+        gk = (qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)  # (Q^T dZ)^T
+        return merge(gz @ kt.transpose(0, 2, 1), n), merge(gk, m), merge(s.transpose(0, 2, 1) @ go, m)
+
+    return _node(merge(s @ vh, n), "attention", (q, k, v), back)
 
 
 # -- pooling ----------------------------------------------------------------

@@ -196,6 +196,10 @@ def cross_attention_naive(q_src, kv_src, proj, heads):
     q = linear_naive(tq, proj.q_w.data, proj.q_b.data)
     k = linear_naive(tkv, proj.k_w.data, proj.k_b.data)
     v = linear_naive(tkv, proj.v_w.data, proj.v_b.data)
+    return attention_naive(q, k, v, heads)
+
+
+def attention_naive(q, k, v, heads):
     n, c = q.shape
     m = k.shape[0]
     d = c // heads

@@ -44,7 +44,7 @@ def toy_runs(tmp_path_factory):
     elapsed = time.time() - t0
     eval_scenes = pipeline.make_dataset(7, "eval", cfg_full.data_eval_scenes, cfg_full.data_image_size)
     ckpt = tmp_path_factory.mktemp("acceptance") / "full.ckpt"
-    io_formats.save_checkpoint(model_full.store, ckpt)
+    ckpt.write_bytes(io_formats.encode_checkpoint(model_full.store))
     return {
         "cfg_full": cfg_full,
         "model_full": model_full,
@@ -334,7 +334,7 @@ def test_criterion_8_format_round_trips(tmp_path):
     for name, shape in (("a.w", (4, 3)), ("b.b", (7,)), ("c.w", (2, 2, 3, 3))):
         store.add(name, Tensor(local.uniform(-2, 2, shape)))
     path = tmp_path / "rt.ckpt"
-    io_formats.save_checkpoint(store, path)
+    path.write_bytes(io_formats.encode_checkpoint(store))
     loaded = io_formats.load_checkpoint(path)
     ckpt_ok = loaded.names() == store.names() and all(
         np.array_equal(loaded[n].data, store[n].data.astype(np.float32).astype(np.float64))

@@ -11,13 +11,13 @@ from ivgf.pipeline import cross_entropy
 from ivgf.tensor import (
     Tensor,
     adaptive_pool,
+    attention,
     backward,
     concat,
     conv2d,
     finite_diff_grad,
     layer_norm,
     linear,
-    matmul,
     max_rel_error,
     named_gradients,
     narrow,
@@ -190,13 +190,23 @@ class TestKernelGradients:
         row = _leaf(rng, (1, 4))  # broadcast path
 
         def build():
-            z = (x * y + row - x * 0.5) / 2.0
+            z = (x * y + row + x * -0.5) / 2.0
             z = relu(z) + sigmoid(z)
-            z = concat([z, narrow(matmul(z, transpose(z)), 1, 0, 2)], axis=1)  # [3,6]
-            z = narrow(z, 1, 1, 3)
+            z = concat([z, transpose(narrow(transpose(z), 0, 0, 2)) * narrow(z, 1, 2, 2)], axis=1)  # [3,6]
+            z = narrow(z, 1, 2, 3)  # spans the concat seam
             return _proj_loss(np.random.default_rng(trial), reshape(z, (9,)))
 
         _check(build, {"x": x, "y": y, "row": row}, trial)
+
+    @pytest.mark.parametrize("trial", range(TRIALS))
+    def test_attention(self, trial):
+        rng = np.random.default_rng(900 + trial)
+        heads = (1, 2, 4)[trial % 3]
+        q = _leaf(rng, (3, 4))
+        k = _leaf(rng, (5, 4))
+        v = _leaf(rng, (5, 4))
+        _check(lambda: _proj_loss(np.random.default_rng(trial), attention(q, k, v, heads)),
+               {"q": q, "k": k, "v": v}, trial)
 
     @pytest.mark.parametrize("trial", range(TRIALS))
     def test_upsample_nearest(self, trial):

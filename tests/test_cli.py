@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output files, metadata, seed precedence."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ class TestForward:
         other_cfg = io_formats.Config(backbone_base_width=4, head_width=4)
         model = pipeline.build_model(other_cfg, seed=0)
         ckpt = tmp_path / "other.ckpt"
-        io_formats.save_checkpoint(model.store, ckpt)
+        ckpt.write_bytes(io_formats.encode_checkpoint(model.store))
         code = cli.main(["forward", "--config", small_config, "--ir", ir, "--vis", vis,
                          "--ckpt", str(ckpt), "--out-dir", str(tmp_path / "o")])
         assert code == 4
@@ -117,13 +118,14 @@ class TestGradcheckCommand:
             assert block in out
 
     def test_injected_sign_error_is_caught_and_named(self, capsys, monkeypatch):
-        monkeypatch.setenv("IVGF_FAULT_INJECT", "sigmoid")
-        assert cli.main(["gradcheck", "--trials", "1", "--seed", "5"]) == 1
-        err = capsys.readouterr().err
-        assert "fem" in err or "tem" in err or "agf" in err
         from ivgf import tensor
 
-        assert tensor.FAULT_SIGN_OP is None  # hook cleared afterwards
+        for op, blocks in (("sigmoid", ("fem", "tem", "agf")), ("attention", ("agf",))):
+            monkeypatch.setenv("IVGF_FAULT_INJECT", op)
+            assert cli.main(["gradcheck", "--trials", "1", "--seed", "5"]) == 1, op
+            err = capsys.readouterr().err
+            assert any(block in err for block in blocks), (op, err)
+            assert tensor.FAULT_SIGN_OP is None  # hook cleared afterwards
 
     def test_relu_kink_inside_the_step_is_not_a_violation(self, capsys):
         # at suite seed 20 a ReLU switches within +-eps of one end-to-end
@@ -162,7 +164,7 @@ class TestTrainEval:
         empty.mkdir()
         ckpt = tmp_path / "m.ckpt"
         model = pipeline.build_model(io_formats.parse_config(SMALL_CFG), seed=0)
-        io_formats.save_checkpoint(model.store, ckpt)
+        ckpt.write_bytes(io_formats.encode_checkpoint(model.store))
         code = cli.main(["eval", "--config", small_config, "--ckpt", str(ckpt),
                          "--data", str(empty), "--out-dir", str(tmp_path / "o")])
         assert code == 3
@@ -200,6 +202,20 @@ class TestAugmentCommand:
         assert "grid 4x4 larger than image 2x2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_modality_size_mismatch_is_exit_4_and_leaves_no_results_dir(self, tmp_path, small_config, capsys):
+        rng = np.random.default_rng(5)
+        ir = tmp_path / "ir32.ppm"
+        vis = tmp_path / "vis64.ppm"
+        io_formats.write_pnm(rng.uniform(0, 1, (3, 32, 32)), ir)
+        io_formats.write_pnm(rng.uniform(0, 1, (3, 64, 64)), vis)
+        out = tmp_path / "aug"
+        code = cli.main(["augment", "--config", small_config, "--ir", str(ir), "--vis", str(vis),
+                         "--seed", "3", "--out-dir", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "modality shapes differ" in err
+        assert not out.exists()
+
 
 class TestSeedPrecedence:
     def _seed_in_metadata(self, out):
@@ -235,17 +251,31 @@ class TestSeedPrecedence:
         assert code == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_loss_is_exit_5(tmp_path, capsys):
+def _train_exploding(tmp_path, lr, steps):
     cfg = tmp_path / "explode.cfg"
     cfg.write_text(
         "backbone.base_width = 8\nhead.width = 8\ndata.image_size = 32\n"
-        "data.train_scenes = 2\ntrain.lr = 1e18\n"
+        f"data.train_scenes = 2\ntrain.lr = {lr}\n"
     )
-    code = cli.main(["train-toy", "--config", str(cfg), "--steps", "5", "--seed", "1",
-                     "--out-dir", str(tmp_path / "o")])
-    assert code == 5
-    assert "non-finite" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy overflow warnings would raise here
+        return cli.main(["train-toy", "--config", str(cfg), "--steps", str(steps), "--seed", "1",
+                         "--out-dir", str(tmp_path / "o")])
+
+
+def test_non_finite_loss_is_exit_5(tmp_path, capsys):
+    assert _train_exploding(tmp_path, "1e18", 5) == 5
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "non-finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_checkpoint_overflowing_float32_is_exit_5(tmp_path, capsys):
+    # one step at this rate keeps the loss finite but drives parameters past float32
+    assert _train_exploding(tmp_path, "1e308", 1) == 5
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "not finite in float32" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_eval_rejects_mask_with_oversized_labels(tmp_path, small_config):
@@ -257,7 +287,7 @@ def test_eval_rejects_mask_with_oversized_labels(tmp_path, small_config):
     io_formats.write_pgm_labels(np.full((32, 32), 9), data / "s_mask.pgm")
     ckpt = tmp_path / "m.ckpt"
     model = pipeline.build_model(io_formats.parse_config(SMALL_CFG), seed=0)
-    io_formats.save_checkpoint(model.store, ckpt)
+    ckpt.write_bytes(io_formats.encode_checkpoint(model.store))
     code = cli.main(["eval", "--config", small_config, "--ckpt", str(ckpt),
                      "--data", str(data), "--out-dir", str(tmp_path / "o")])
     assert code == 3
@@ -274,7 +304,7 @@ def test_eval_with_every_pixel_ignored_is_exit_3(tmp_path, small_config, capsys)
         io_formats.write_pgm_labels(np.full((32, 32), pipeline.IGNORE_LABEL), data / f"{stem}_mask.pgm")
     ckpt = tmp_path / "m.ckpt"
     model = pipeline.build_model(io_formats.parse_config(SMALL_CFG), seed=0)
-    io_formats.save_checkpoint(model.store, ckpt)
+    ckpt.write_bytes(io_formats.encode_checkpoint(model.store))
     out = tmp_path / "o"
     code = cli.main(["eval", "--config", small_config, "--ckpt", str(ckpt),
                      "--data", str(data), "--out-dir", str(out)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivgf.errors import ConfigError, DimensionError, FormatError
+from ivgf.errors import ConfigError, DimensionError, FormatError, NonFiniteError
 from ivgf.io_formats import (
     Config,
     decode_checkpoint,
@@ -15,7 +15,6 @@ from ivgf.io_formats import (
     parse_config,
     read_pgm_labels,
     read_pnm,
-    save_checkpoint,
     write_pgm_labels,
     write_pnm,
 )
@@ -163,7 +162,7 @@ class TestCheckpoint:
     def test_single_tensor_round_trip(self, tmp_path):
         store = self._store({"layer.w": np.array([[1.5, -2.25], [0.125, 3.0]])})
         path = tmp_path / "model.ckpt"
-        save_checkpoint(store, path)
+        path.write_bytes(encode_checkpoint(store))
         loaded = load_checkpoint(path)
         assert loaded.names() == ["layer.w"]
         assert loaded["layer.w"].data.shape == (2, 2)
@@ -214,8 +213,13 @@ class TestCheckpoint:
         assert diff_a + diff_b == 1
 
     def test_non_finite_parameters_refused(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NonFiniteError, match="not finite"):
             encode_checkpoint(self._store({"a": np.array([1.0, np.nan])}))
+
+    def test_parameter_overflowing_float32_refused(self):
+        # finite in float64, inf once cast to the stored float32
+        with pytest.raises(NonFiniteError, match="'b'"):
+            encode_checkpoint(self._store({"a": np.ones(2), "b": np.array([1.0, 1e39])}))
 
 
 class TestConfig:

@@ -11,11 +11,11 @@ from ivgf.pipeline import cross_entropy
 from ivgf.tensor import (
     Tensor,
     adaptive_pool,
+    attention,
     concat,
     conv2d,
     layer_norm,
     linear,
-    matmul,
     narrow,
     relu,
     reshape,
@@ -171,6 +171,27 @@ class TestSoftmax:
                 assert abs(np.exp(-loss.item()) - probs[i, t]) < 1e-12
 
 
+class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_loop_oracle(self, heads):
+        rng = RNG(30 + heads)
+        q = rng.uniform(-2, 2, (5, 8))
+        k = rng.uniform(-2, 2, (7, 8))  # more keys than queries
+        v = rng.uniform(-2, 2, (7, 8))
+        out = attention(Tensor(q), Tensor(k), Tensor(v), heads)
+        assert out.shape == (5, 8)
+        assert np.max(np.abs(out.data - oracles.attention_naive(q, k, v, heads))) < 1e-12
+
+    def test_rejects_heads_not_dividing_width(self):
+        t = Tensor(np.zeros((3, 6)))
+        with pytest.raises(DimensionError):
+            attention(t, t, t, 4)
+
+    def test_rejects_mismatched_keys_and_values(self):
+        with pytest.raises(DimensionError):
+            attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4))), Tensor(np.zeros((4, 4))), 2)
+
+
 class TestAdaptivePool:
     def test_global_avg_is_channel_mean(self):
         rng = RNG(12)
@@ -238,7 +259,7 @@ class TestPurityAndInvariants:
         assert np.array_equal(narrow(t, 1, 1, 2).data, x[:, 1:3])
         joined = concat([t, t], axis=0)
         assert joined.shape == (6, 4)
-        assert np.array_equal(matmul(t, transpose(t)).data, x @ x.T)
+        assert np.array_equal(concat([t, narrow(t, 1, 0, 1)], axis=1).data, np.hstack([x, x[:, :1]]))
 
     def test_upsample_nearest(self):
         x = np.arange(4, dtype=float).reshape(1, 2, 2)
