@@ -20,7 +20,7 @@ from . import params as P
 from .errors import ConfigError, DimensionError
 from .io_formats import Config
 from .rng import RngState
-from .tensor import Tensor, conv2d, layer_norm, linear, relu, reshape, transpose
+from .tensor import Tensor, conv2d, feature_map, layer_norm, linear, relu, tokens
 
 TEM_LAYERS = (3, 6, 9)
 
@@ -148,22 +148,12 @@ def build_backbone(store: P.ParamStore, rng: RngState, cfg: Config) -> BackboneP
     )
 
 
-def _self_attention_block(tokens: Tensor, layer: AttnLayer, heads: int) -> Tensor:
-    normed = layer_norm(tokens, layer.ln1_gamma, layer.ln1_beta)
+def _self_attention_block(rows: Tensor, layer: AttnLayer, heads: int) -> Tensor:
+    normed = layer_norm(rows, layer.ln1_gamma, layer.ln1_beta)
     attended = fusion.multi_head_attention(normed, normed, layer.proj, heads)
-    tokens = tokens + linear(attended, layer.out_w, layer.out_b)
-    normed = layer_norm(tokens, layer.ln2_gamma, layer.ln2_beta)
-    return tokens + linear(relu(linear(normed, layer.mlp1_w, layer.mlp1_b)), layer.mlp2_w, layer.mlp2_b)
-
-
-def _tokens_from_map(fmap: Tensor) -> Tensor:
-    c, h, w = fmap.shape
-    return transpose(reshape(fmap, (c, h * w)))
-
-
-def _map_from_tokens(tokens: Tensor, h: int, w: int) -> Tensor:
-    c = tokens.shape[1]
-    return reshape(transpose(tokens), (c, h, w))
+    rows = rows + linear(attended, layer.out_w, layer.out_b)
+    normed = layer_norm(rows, layer.ln2_gamma, layer.ln2_beta)
+    return rows + linear(relu(linear(normed, layer.mlp1_w, layer.mlp1_b)), layer.mlp2_w, layer.mlp2_b)
 
 
 def _enhance(bb: BackboneParams, scale_idx: int, fx: Tensor, fy: Tensor):
@@ -203,13 +193,13 @@ def encoder_forward(x_img: Tensor, y_img: Tensor, bb: BackboneParams) -> MultiSc
 
     ex, ey = embed(f2x, bb.x), embed(f2y, bb.y)
     _, h3, w3 = ex.shape
-    tx, ty = _tokens_from_map(ex), _tokens_from_map(ey)
+    tx, ty = tokens(ex), tokens(ey)
     for i in range(bb.depth):
         tx = _self_attention_block(tx, bb.x.layers[i], bb.heads)
         ty = _self_attention_block(ty, bb.y.layers[i], bb.heads)
         if bb.tem_enabled and (i + 1) in TEM_LAYERS:
             tx, ty = fusion.tem_forward(tx, ty, bb.tem)
-    f3x, f3y = _enhance(bb, 2, _map_from_tokens(tx, h3, w3), _map_from_tokens(ty, h3, w3))
+    f3x, f3y = _enhance(bb, 2, feature_map(tx, h3, w3), feature_map(ty, h3, w3))
 
     f4x = conv2d(f3x, bb.x.stage4.w, bb.x.stage4.b, stride=2, padding=1)
     f4y = conv2d(f3y, bb.y.stage4.w, bb.y.stage4.b, stride=2, padding=1)

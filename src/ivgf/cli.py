@@ -167,11 +167,13 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_toy(args) -> int:
     cfg = io_formats.load_config(args.config)
     seed = _resolve_seed(args.seed, cfg)
+    out_dir = Path(args.out_dir)
+    ckpt_path = Path(args.out_ckpt) if args.out_ckpt else out_dir / "model.ckpt"
+    if ckpt_path.parent != out_dir and not ckpt_path.parent.is_dir():
+        raise FileNotFoundError(f"checkpoint directory not found: {ckpt_path.parent}")
     model, losses = pipeline.train_toy(cfg, steps=args.steps, seed=seed)
     ckpt = io_formats.encode_checkpoint(model.store)
     curve = "step,loss\n" + "".join(f"{i},{loss!r}\n" for i, loss in enumerate(losses))
-    out_dir = Path(args.out_dir)
-    ckpt_path = Path(args.out_ckpt) if args.out_ckpt else out_dir / "model.ckpt"
     _write_metadata(out_dir, "train-toy", cfg, seed, ["loss_curve.csv", ckpt_path.name])
 
     (out_dir / "loss_curve.csv").write_text(curve, encoding="utf-8")
@@ -216,6 +218,8 @@ def cmd_make_data(args) -> int:
     count = args.count if args.count is not None else (
         cfg.data_train_scenes if args.split == "train" else cfg.data_eval_scenes
     )
+    if count < 1:
+        raise ConfigError(f"--count must be >= 1, got {count}")
     scenes = pipeline.make_dataset(seed, args.split, count, cfg.data_image_size, cfg.head_classes)
     out_dir = Path(args.out_dir)
     names = [f"scene_{i:03d}" for i in range(count)]

@@ -23,6 +23,7 @@ from .tensor import (
     attention,
     concat,
     conv2d,
+    feature_map,
     layer_norm,
     linear,
     narrow,
@@ -30,7 +31,7 @@ from .tensor import (
     reshape,
     sigmoid,
     softmax_rows,
-    transpose,
+    tokens,
 )
 
 SPATIAL_REDUCTION = 8  # first spatial 1x1 conv maps C -> max(C//8, 1)
@@ -290,28 +291,15 @@ def multi_head_attention(tq: Tensor, tkv: Tensor, proj: AttnProj, heads: int) ->
     return attention(q, k, v, heads)
 
 
-def cross_attention(q_src: Tensor, kv_src: Tensor, agf: AgfParams, direction: str) -> Tensor:
-    """One direction of cross-modality attention on flattened [C,HW] maps."""
-    if direction == "xy":
-        proj = agf.xy
-    elif direction == "yx":
-        proj = agf.yx
-    else:
-        raise ConfigError(f"direction must be 'xy' or 'yx', got {direction!r}")
-    return multi_head_attention(transpose(q_src), transpose(kv_src), proj, agf.heads)
-
-
 def agf_forward(fx: Tensor, fy: Tensor, agf: AgfParams) -> Tensor:
     if fx.shape != fy.shape:
         raise DimensionError(f"modality shapes differ: {fx.shape} vs {fy.shape}")
-    c, h, w = fx.shape
-    rx = reshape(fx, (c, h * w))
-    ry = reshape(fy, (c, h * w))
-    a_xy = cross_attention(rx, ry, agf, "xy")  # [HW, C]
-    a_yx = cross_attention(ry, rx, agf, "yx")
-    mx = reshape(transpose(a_xy), (c, h, w))
-    my = reshape(transpose(a_yx), (c, h, w))
-    stacked = concat([mx, my], axis=0)  # [2C, H, W]
+    _, h, w = fx.shape
+    # one tokens node per use: both directions sharing one node would sum
+    # their gradients in another order
+    a_xy = multi_head_attention(tokens(fx), tokens(fy), agf.xy, agf.heads)  # [HW, C]
+    a_yx = multi_head_attention(tokens(fy), tokens(fx), agf.yx, agf.heads)
+    stacked = concat([feature_map(a_xy, h, w), feature_map(a_yx, h, w)], axis=0)  # [2C, H, W]
     merged = relu(conv2d(stacked, agf.merge_a_w, agf.merge_a_b))
     merged = conv2d(merged, agf.merge_b_w, agf.merge_b_b)
     return conv2d(merged, agf.merge_c_w, agf.merge_c_b, padding=1)

@@ -139,6 +139,9 @@ def check_agf(seed: int, trials: int) -> BlockResult:
         store = ParamStore()
         agf = fusion.build_agf(store, rng, "agf", c=4, heads=heads_cycle[trial % 3])
         _randomize(store, rng)
+        # keep merge_a's ReLU open: where all its inputs are <= 0, no gradient
+        # reaches the attention and a fault there goes unseen
+        agf.merge_a_b.data += 1.0
         fx = _input(rng, "fx", (4, 2, 2))
         fy = _input(rng, "fy", (4, 2, 2))
         tensors = dict(store.items()) | {"input.fx": fx, "input.fy": fy}

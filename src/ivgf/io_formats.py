@@ -190,14 +190,21 @@ def decode_checkpoint(data: bytes) -> ParamStore:
     store = ParamStore()
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("checkpoint entry name is not UTF-8", offset=pos - name_len) from None
         (ndim,) = struct.unpack("<I", take(4, "ndim"))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
-        n_values = int(np.prod(dims)) if ndim else 1
+        n_values = math.prod(dims)  # exact: a product too large for the data fails the length check
         values = np.frombuffer(take(4 * n_values, f"values of {name!r}"), dtype="<f4")
         if name in store:
             raise FormatError(f"duplicate checkpoint entry {name!r}", offset=pos)
-        store.add(name, Tensor(values.astype(np.float64).reshape(dims)))
+        try:
+            array = values.astype(np.float64).reshape(dims)
+        except ValueError as exc:  # more than 64 dims, or a size numpy cannot index even with a 0 dim
+            raise FormatError(f"entry {name!r} has a shape numpy cannot hold: {exc}", offset=pos) from None
+        store.add(name, Tensor(array))
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes after last entry", offset=pos)
     return store
@@ -408,6 +415,6 @@ def load_config(path=None) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config(text)

@@ -131,9 +131,6 @@ class ConfusionMatrix:
         idx = kept_truth * self.classes + pred[keep]
         self.counts += np.bincount(idx, minlength=self.classes**2).reshape(self.classes, self.classes)
 
-    def merge(self, other: "ConfusionMatrix"):
-        self.counts += other.counts
-
 
 def miou(cm: ConfusionMatrix):
     """Mean IoU over classes with nonzero union; also the per-class list.
@@ -273,13 +270,13 @@ def train_step(model: Model, batch, optimizer: AdamW, aug_cfg, aug_rng: RngState
         ir, vis = scene.images
         if aug_cfg is not None and aug_cfg.enabled:
             ir, vis, _ = augment.cma_apply(ir, vis, aug_cfg, aug_rng.derive(slot))
-        _, logits = model_forward(model, ir, vis)
-        losses.append(cross_entropy(logits, scene.mask))
+        losses.append(cross_entropy(model_forward(model, ir, vis)[1], scene.mask))
     loss = losses[0] if len(losses) == 1 else sum(losses[1:], start=losses[0]) / len(losses)
     value = loss.item()
     if not np.isfinite(value):
         raise NonFiniteError(f"training loss went non-finite; first bad tensor: {_first_non_finite(loss)}")
     grads = named_gradients(loss, dict(model.store.items()))
+    del loss, losses  # release the tape before the optimizer step
     optimizer.step(grads)
     return value
 

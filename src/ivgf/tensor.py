@@ -27,12 +27,11 @@ FAULT_SIGN_OP = None
 class Tensor:
     """A dense float64 array plus an optional place on the autodiff tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_backward_fn", "_seq")
+    __slots__ = ("data", "requires_grad", "op", "_parents", "_backward_fn", "_seq")
 
     def __init__(self, data, requires_grad=False, op="leaf", parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self.op = op
         self._parents = tuple(parents)
         self._backward_fn = backward_fn
@@ -156,14 +155,28 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _node(x.data.reshape(shape), "reshape", (x,), back)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-d tensor, got shape {x.shape}")
+def tokens(fmap: Tensor) -> Tensor:
+    """A [C,H,W] feature map as C-contiguous [H*W, C] token rows, in row-major position order."""
+    if fmap.ndim != 3:
+        raise DimensionError(f"tokens expects a [C,H,W] map, got shape {fmap.shape}")
+    c, h, w = fmap.shape
 
     def back(g):
-        return (np.ascontiguousarray(g.T),)
+        return (np.ascontiguousarray(g.T).reshape(c, h, w),)
 
-    return _node(np.ascontiguousarray(x.data.T), "transpose", (x,), back)
+    return _node(np.ascontiguousarray(fmap.data.reshape(c, h * w).T), "tokens", (fmap,), back)
+
+
+def feature_map(rows: Tensor, h: int, w: int) -> Tensor:
+    """[H*W, C] token rows back to a C-contiguous [C,H,W] map; the inverse of `tokens`."""
+    if rows.ndim != 2 or rows.shape[0] != h * w:
+        raise DimensionError(f"feature_map expects [{h}*{w}, C] tokens, got shape {rows.shape}")
+    c = rows.shape[1]
+
+    def back(g):
+        return (np.ascontiguousarray(g.reshape(c, h * w).T),)
+
+    return _node(np.ascontiguousarray(rows.data.T).reshape(c, h, w), "feature_map", (rows,), back)
 
 
 def concat(parts, axis: int) -> Tensor:
@@ -440,36 +453,32 @@ def trace(root: Tensor) -> Graph:
     return Graph(nodes)
 
 
-def backward(loss: Tensor) -> Graph:
-    """Accumulate d(loss)/d(node) into .grad for every reachable tensor."""
+def backward(loss: Tensor, wrt) -> list:
+    """d(loss)/d(t) for each tensor t in wrt; zeros where the loss does not reach t.
+
+    A node's gradient is dropped once passed on to its parents, unless the node is in wrt."""
     if loss.size != 1:
         raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
-    graph = trace(loss)
-    for node in graph.nodes:
-        node.grad = None
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(graph.nodes):
-        if node._backward_fn is None or node.grad is None:
+    wrt = list(wrt)
+    keep = set(wrt)
+    grads = {loss: np.ones_like(loss.data)}
+    for node in reversed(trace(loss).nodes):
+        g = grads.get(node) if node in keep else grads.pop(node, None)
+        if g is None or node._backward_fn is None:
             continue
-        grads = node._backward_fn(node.grad)
+        parent_grads = node._backward_fn(g)
         if FAULT_SIGN_OP is not None and node.op == FAULT_SIGN_OP:
-            grads = tuple(None if g is None else -g for g in grads)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
+            parent_grads = tuple(None if pg is None else -pg for pg in parent_grads)
+        for parent, pg in zip(node._parents, parent_grads):
+            if pg is None or not parent.requires_grad:
                 continue
-            parent.grad = g if parent.grad is None else parent.grad + g
-    return graph
+            grads[parent] = pg if parent not in grads else grads[parent] + pg
+    return [grads[t] if t in grads else np.zeros_like(t.data) for t in wrt]
 
 
 def named_gradients(loss: Tensor, params) -> dict:
     """Backward pass returning {name: gradient}; unreached params get zeros."""
-    for p in params.values():
-        p.grad = None
-    backward(loss)
-    return {
-        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
+    return dict(zip(params, backward(loss, params.values())))
 
 
 # -- independent gradient oracle ---------------------------------------------

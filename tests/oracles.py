@@ -190,6 +190,16 @@ def tem_naive(tx, ty, tem):
     return out_x, out_y
 
 
+def tokens_naive(fmap):
+    c, h, w = fmap.shape
+    out = np.zeros((h * w, c))
+    for i in range(h):
+        for j in range(w):
+            for ch in range(c):
+                out[i * w + j, ch] = fmap[ch, i, j]
+    return out
+
+
 def cross_attention_naive(q_src, kv_src, proj, heads):
     tq = q_src.T.copy()
     tkv = kv_src.T.copy()

@@ -138,7 +138,8 @@ def test_criterion_2_oracle_equivalence():
             p.data = RngState(seed).derive("r", name).fill_uniform(p.data.shape, -0.6, 0.6)
         q_src, kv_src = rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (4, 4))
         worst["cross_attention"] = max(worst.get("cross_attention", 0.0),
-                                       _max_abs(fusion.cross_attention(Tensor(q_src), Tensor(kv_src), agf, "xy").data,
+                                       _max_abs(fusion.multi_head_attention(Tensor(q_src.T), Tensor(kv_src.T), agf.xy,
+                                                                            agf.heads).data,
                                                 oracles.cross_attention_naive(q_src, kv_src, agf.xy, agf.heads)))
         fx2, fy2 = rng.uniform(-1, 1, (4, 2, 2)), rng.uniform(-1, 1, (4, 2, 2))
         worst["agf_forward"] = max(worst.get("agf_forward", 0.0),

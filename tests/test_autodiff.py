@@ -15,6 +15,7 @@ from ivgf.tensor import (
     backward,
     concat,
     conv2d,
+    feature_map,
     finite_diff_grad,
     layer_norm,
     linear,
@@ -25,8 +26,8 @@ from ivgf.tensor import (
     reshape,
     sigmoid,
     softmax_rows,
+    tokens,
     trace,
-    transpose,
     upsample_nearest,
 )
 
@@ -44,9 +45,7 @@ def _proj_loss(rng, out):
 
 def _check(build_loss, leaves, trial_seed):
     """Compare tape gradients with central differences on every leaf entry."""
-    loss = build_loss()
-    backward(loss)
-    analytic = {name: t.grad.copy() for name, t in leaves.items()}
+    analytic = dict(zip(leaves, backward(build_loss(), leaves.values())))
     for name, t in leaves.items():
         numeric = finite_diff_grad(lambda _: build_loss().item(), t)
         err = max_rel_error(analytic[name], numeric)
@@ -56,8 +55,8 @@ def _check(build_loss, leaves, trial_seed):
 class TestBackwardSemantics:
     def test_sum_gradient_is_ones(self):
         x = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 4)), requires_grad=True)
-        backward(x.sum())
-        assert np.array_equal(x.grad, np.ones((3, 4)))
+        (gx,) = backward(x.sum(), [x])
+        assert np.array_equal(gx, np.ones((3, 4)))
 
     def test_unreached_parameter_gets_zero_in_named_set(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -69,7 +68,7 @@ class TestBackwardSemantics:
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(DimensionError):
-            backward(x + x)
+            backward(x + x, [x])
 
     def test_graph_with_no_parameters_yields_empty_set(self):
         loss = (Tensor(np.ones(4)) * Tensor(np.ones(4))).sum()
@@ -85,8 +84,27 @@ class TestBackwardSemantics:
 
     def test_gradient_accumulates_over_reuse(self):
         x = Tensor([2.0], requires_grad=True)
-        backward((x * x).sum())  # d(x^2)/dx = 2x
-        assert np.allclose(x.grad, [4.0])
+        (gx,) = backward((x * x).sum(), [x])  # d(x^2)/dx = 2x
+        assert np.allclose(gx, [4.0])
+
+    def test_unreached_tensor_gets_zeros(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        unused = Tensor(np.ones((4, 1)), requires_grad=True)
+        gx, gu = backward((x * x).sum(), [x, unused])
+        assert np.array_equal(gx, np.full((2, 3), 2.0))
+        assert gu.shape == (4, 1) and not gu.any()
+
+    def test_inputs_left_unmodified(self):
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+        y = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+        loss = (relu(x * y) + x).sum()
+        x_before, y_before, loss_before = x.data.copy(), y.data.copy(), loss.data.copy()
+        first = backward(loss, [x, y])
+        assert np.array_equal(x.data, x_before) and np.array_equal(y.data, y_before)
+        assert np.array_equal(loss.data, loss_before)
+        for a, b in zip(first, backward(loss, [x, y])):  # nothing carried over between calls
+            assert np.array_equal(a, b)
 
 
 class TestFiniteDiffOracle:
@@ -192,11 +210,21 @@ class TestKernelGradients:
         def build():
             z = (x * y + row + x * -0.5) / 2.0
             z = relu(z) + sigmoid(z)
-            z = concat([z, transpose(narrow(transpose(z), 0, 0, 2)) * narrow(z, 1, 2, 2)], axis=1)  # [3,6]
+            first_cols = reshape(feature_map(narrow(tokens(reshape(z, (3, 4, 1))), 0, 0, 2), 2, 1), (3, 2))
+            z = concat([z, first_cols * narrow(z, 1, 2, 2)], axis=1)  # [3,6]
             z = narrow(z, 1, 2, 3)  # spans the concat seam
             return _proj_loss(np.random.default_rng(trial), reshape(z, (9,)))
 
         _check(build, {"x": x, "y": y, "row": row}, trial)
+
+    @pytest.mark.parametrize("trial", range(TRIALS))
+    def test_tokens_feature_map(self, trial):
+        rng = np.random.default_rng(1000 + trial)
+        c, h, w = 3, 1 + trial % 3, 2 + trial % 2
+        fmap = _leaf(rng, (c, h, w))
+        rows = _leaf(rng, (h * w, c))
+        _check(lambda: _proj_loss(np.random.default_rng(trial), feature_map(tokens(fmap) * rows, h, w)),
+               {"fmap": fmap, "rows": rows}, trial)
 
     @pytest.mark.parametrize("trial", range(TRIALS))
     def test_attention(self, trial):

@@ -16,7 +16,7 @@ from ivgf.errors import ConfigError, DimensionError
 from ivgf.io_formats import Config
 from ivgf.params import ParamStore
 from ivgf.rng import RngState
-from ivgf.tensor import Tensor, conv2d, layer_norm, linear, relu, reshape, transpose
+from ivgf.tensor import Tensor, conv2d, layer_norm, linear, relu
 
 SMALL = Config(backbone_base_width=8, head_width=8, data_image_size=32)
 
@@ -148,7 +148,7 @@ def _plain_branch(img, br, heads):
     f2 = relu(conv2d(f1, br.stage2.w, br.stage2.b, 2, 1))
     emb = conv2d(f2, br.embed.w, br.embed.b, 2, 1)
     c, h, w = emb.shape
-    tokens = transpose(reshape(emb, (c, h * w)))
+    tokens = Tensor(np.ascontiguousarray(emb.data.reshape(c, h * w).T))
     for layer in br.layers:
         normed = layer_norm(tokens, layer.ln1_gamma, layer.ln1_beta)
         tokens = tokens + linear(
@@ -156,7 +156,7 @@ def _plain_branch(img, br, heads):
         )
         normed = layer_norm(tokens, layer.ln2_gamma, layer.ln2_beta)
         tokens = tokens + linear(relu(linear(normed, layer.mlp1_w, layer.mlp1_b)), layer.mlp2_w, layer.mlp2_b)
-    f3 = reshape(transpose(tokens), (c, h, w))
+    f3 = Tensor(np.ascontiguousarray(tokens.data.T).reshape(c, h, w))
     f4 = conv2d(f3, br.stage4.w, br.stage4.b, 2, 1)
     return [f1, f2, f3, f4]
 

@@ -127,6 +127,15 @@ class TestGradcheckCommand:
             assert any(block in err for block in blocks), (op, err)
             assert tensor.FAULT_SIGN_OP is None  # hook cleared afterwards
 
+    @pytest.mark.parametrize("seed", [0, 17, 23])
+    def test_agf_block_sees_an_attention_fault(self, seed, monkeypatch):
+        # at these suite seeds every merge_a ReLU input used to be <= 0, so no
+        # gradient reached the attention and a sign fault there passed
+        from ivgf import gradcheck, tensor
+
+        monkeypatch.setattr(tensor, "FAULT_SIGN_OP", "attention")
+        assert not gradcheck.check_agf(seed, 1).ok
+
     def test_relu_kink_inside_the_step_is_not_a_violation(self, capsys):
         # at suite seed 20 a ReLU switches within +-eps of one end-to-end
         # entry, so the central difference is off by 7e-2 while the tape is right
@@ -168,6 +177,40 @@ class TestTrainEval:
         code = cli.main(["eval", "--config", small_config, "--ckpt", str(ckpt),
                          "--data", str(empty), "--out-dir", str(tmp_path / "o")])
         assert code == 3
+
+    def test_missing_checkpoint_directory_is_exit_3_and_leaves_no_results_dir(self, tmp_path, small_config, capsys):
+        out = tmp_path / "o"
+        code = cli.main(["train-toy", "--config", small_config, "--steps", "1", "--out-dir", str(out),
+                         "--out-ckpt", str(tmp_path / "nodir" / "x.ckpt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "nodir" in err
+        assert not out.exists()
+
+    def test_checkpoint_inside_the_new_results_dir_is_accepted(self, tmp_path, small_config):
+        out = tmp_path / "o"
+        assert cli.main(["train-toy", "--config", small_config, "--steps", "1", "--out-dir", str(out),
+                         "--out-ckpt", str(out / "x.ckpt")]) == 0
+        assert (out / "x.ckpt").exists() and not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_make_data_non_positive_count_is_exit_2_and_leaves_no_results_dir(
+        self, tmp_path, small_config, capsys, count
+    ):
+        out = tmp_path / "o"
+        assert cli.main(["make-data", "--config", small_config, "--count", count, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "--count" in err
+        assert not out.exists()
+
+    def test_config_file_not_utf8_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# r\xe9glages\nhead.width = 8\n".encode("latin-1"))
+        out = tmp_path / "o"
+        assert cli.main(["make-data", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "config error" in err
+        assert not out.exists()
 
     def test_repeat_training_is_byte_identical(self, tmp_path, small_config):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -50,6 +50,11 @@ def _rand(rng, shape):
     return rng.uniform(-1.0, 1.0, shape)
 
 
+def _cross(q_src, kv_src, proj, heads):
+    """One direction of cross-modality attention between flattened [C,N] and [C,M] maps."""
+    return fusion.multi_head_attention(Tensor(q_src.T.copy()), Tensor(kv_src.T.copy()), proj, heads)
+
+
 class TestSpatialAttention:
     def test_output_shape_is_single_channel(self):
         fem, _ = _fem(0, c=6)
@@ -224,12 +229,12 @@ class TestCrossAttention:
     def test_single_key_returns_value_row(self):
         agf, _ = _agf(14, c=4, heads=2)
         rng = np.random.default_rng(14)
-        q_src = Tensor(_rand(rng, (4, 5)))
-        kv_src = Tensor(_rand(rng, (4, 1)))  # one key/value position
-        out = fusion.cross_attention(q_src, kv_src, agf, "xy")
-        from ivgf.tensor import linear, transpose
+        q_src = _rand(rng, (4, 5))
+        kv_src = _rand(rng, (4, 1))  # one key/value position
+        out = _cross(q_src, kv_src, agf.xy, agf.heads)
+        from ivgf.tensor import linear
 
-        v_row = linear(transpose(kv_src), agf.xy.v_w, agf.xy.v_b).data[0]
+        v_row = linear(Tensor(kv_src.T), agf.xy.v_w, agf.xy.v_b).data[0]
         assert out.shape == (5, 4)
         assert np.max(np.abs(out.data - v_row)) < 1e-12
 
@@ -237,7 +242,7 @@ class TestCrossAttention:
         agf, store = _agf(15, c=2, heads=1)
         rng = np.random.default_rng(15)
         q_src, kv_src = _rand(rng, (2, 2)), _rand(rng, (2, 2))
-        out = fusion.cross_attention(Tensor(q_src), Tensor(kv_src), agf, "yx")
+        out = _cross(q_src, kv_src, agf.yx, agf.heads)
 
         # independent closed-form evaluation
         tq, tkv = q_src.T, kv_src.T
@@ -260,8 +265,8 @@ class TestCrossAttention:
         q_src = _rand(rng, (4, 6))
         kv = _rand(rng, (4, 6))
         perm = rng.permutation(6)
-        out_a = fusion.cross_attention(Tensor(q_src), Tensor(kv), agf, "xy")
-        out_b = fusion.cross_attention(Tensor(q_src), Tensor(kv[:, perm]), agf, "xy")
+        out_a = _cross(q_src, kv, agf.xy, agf.heads)
+        out_b = _cross(q_src, kv[:, perm], agf.xy, agf.heads)
         assert np.max(np.abs(out_a.data - out_b.data)) < 1e-9
 
     def test_matches_naive_oracle(self):
@@ -270,7 +275,7 @@ class TestCrossAttention:
             rng = np.random.default_rng(70 + trial)
             agf, _ = _agf(70 + trial, c=4, heads=heads)
             q_src, kv_src = _rand(rng, (4, 3)), _rand(rng, (4, 3))
-            out = fusion.cross_attention(Tensor(q_src), Tensor(kv_src), agf, "xy")
+            out = _cross(q_src, kv_src, agf.xy, heads)
             expected = oracles.cross_attention_naive(q_src, kv_src, agf.xy, heads)
             assert np.max(np.abs(out.data - expected)) < 1e-12
 
@@ -280,7 +285,7 @@ class TestCrossAttention:
         agf, _ = _agf(17, c=4, heads=2)
         agf.heads = 3
         with pytest.raises(ConfigError):
-            fusion.cross_attention(Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))), agf, "xy")
+            _cross(np.zeros((4, 2)), np.zeros((4, 2)), agf.xy, agf.heads)
 
 
 class TestAgfForward:
@@ -340,10 +345,9 @@ class TestBlockGradients:
             ox, oy = fusion.fem_forward(fx, fy, fem)
             return ((ox + oy) * proj).sum()
 
-        backward(loss())
-        for t in (fx, fy):
+        for t, analytic in zip((fx, fy), backward(loss(), (fx, fy))):
             numeric = finite_diff_grad(lambda _: loss().item(), t)
-            assert max_rel_error(t.grad, numeric) <= 1e-4
+            assert max_rel_error(analytic, numeric) <= 1e-4
 
     def test_agf_parameter_gradients_match_finite_differences(self):
         agf, store = _agf(24)
@@ -355,9 +359,8 @@ class TestBlockGradients:
         def loss():
             return (fusion.agf_forward(fx, fy, agf) * proj).sum()
 
-        backward(loss())
-        for name in ("agf.merge_c.w", "agf.xy.q.w"):
+        names = ("agf.merge_c.w", "agf.xy.q.w")
+        for name, analytic in zip(names, backward(loss(), [store[n] for n in names])):
             t = store[name]
-            analytic = t.grad.copy()
             numeric = finite_diff_grad(lambda _: loss().item(), t)
             assert max_rel_error(analytic, numeric) <= 1e-4

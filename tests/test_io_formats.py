@@ -1,5 +1,7 @@
 """Format round trips and rejection paths for PNM, checkpoints, config."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,29 @@ class TestPnmHeader:
             assert rejected[0] == rejected[1]
 
 
+def _one_entry_checkpoint(name: bytes, dims, payload: bytes) -> bytes:
+    return (b"IVGF" + struct.pack("<III", 1, 1, len(name)) + name
+            + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + payload)
+
+
+# a valid header and entry count, so that entry parsing is reached; raw bytes
+# cover the header checks
+_CHECKPOINT_LIKE = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda count, body: b"IVGF" + struct.pack("<II", 1, count) + body,
+        st.integers(0, 3),
+        st.binary(max_size=64),
+    ),
+    st.builds(
+        _one_entry_checkpoint,
+        st.binary(max_size=6),
+        st.lists(st.sampled_from([0, 1, 2, 3, 2**16, 2**31, 2**32 - 1]), max_size=4),
+        st.binary(max_size=48),
+    ),
+)
+
+
 class TestCheckpoint:
     def _store(self, tensors):
         store = ParamStore()
@@ -216,10 +241,52 @@ class TestCheckpoint:
         with pytest.raises(NonFiniteError, match="not finite"):
             encode_checkpoint(self._store({"a": np.array([1.0, np.nan])}))
 
+    def test_name_not_utf8_rejected(self):
+        data = _one_entry_checkpoint(b"\xffa", (2,), bytes(8))
+        with pytest.raises(FormatError, match="UTF-8"):
+            decode_checkpoint(data)
+
+    def test_dims_whose_product_overflows_int64_rejected(self):
+        # 2**21 * 2**21 * 2**22 wraps to 0 in int64; the exact product fails the length check
+        data = _one_entry_checkpoint(b"a", (2**21, 2**21, 2**22), b"")
+        with pytest.raises(FormatError, match="truncated"):
+            decode_checkpoint(data)
+
+    @pytest.mark.parametrize("dims", [(1,) * 65, (0, 2**31, 2**31)], ids=["65_dims", "empty_but_huge"])
+    def test_shape_numpy_cannot_hold_rejected(self, dims):
+        data = _one_entry_checkpoint(b"a", dims, bytes(4 if all(dims) else 0))
+        with pytest.raises(FormatError, match="shape numpy cannot hold"):
+            decode_checkpoint(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_CHECKPOINT_LIKE)
+    def test_arbitrary_bytes_raise_only_format_error(self, raw):
+        try:
+            decode_checkpoint(raw)
+        except FormatError:
+            pass
+
     def test_parameter_overflowing_float32_refused(self):
         # finite in float64, inf once cast to the stored float32
         with pytest.raises(NonFiniteError, match="'b'"):
             encode_checkpoint(self._store({"a": np.ones(2), "b": np.array([1.0, 1e39])}))
+
+
+# lines that name real keys reach the value parsers and the cross-key checks;
+# raw text covers the line syntax
+_CONFIG_LIKE = st.one_of(
+    st.text(max_size=80),
+    st.lists(
+        st.builds(
+            lambda key, sep, value: f"{key}{sep}{value}",
+            st.sampled_from([line.split(" = ")[0] for line in Config().dump().splitlines()]),
+            st.sampled_from([" = ", "=", " ", " = # "]),
+            st.one_of(st.text(max_size=12), st.integers(-(2**70), 2**70).map(str),
+                      st.floats(allow_nan=True).map(repr), st.sampled_from(["true", "false", "serial", "1e999"])),
+        ),
+        max_size=6,
+    ).map("\n".join),
+)
 
 
 class TestConfig:
@@ -279,6 +346,14 @@ class TestConfig:
         cfg = parse_config("fem.mode = serial\ntrain.lr = 0.003\n")
         again = parse_config(cfg.dump())
         assert again == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_CONFIG_LIKE)
+    def test_arbitrary_text_raises_only_config_error(self, text):
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
 
     def test_widths_schedule(self):
         assert Config().widths() == (32, 64, 128, 256)

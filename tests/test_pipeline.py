@@ -99,11 +99,11 @@ class TestCrossEntropy:
         logits = Tensor(rng.uniform(-1, 1, (3, 2, 2)), requires_grad=True)
         mask = rng.integers(0, 3, (2, 2))
         mask[0, 0] = 255
-        backward(pipeline.cross_entropy(logits, mask))
+        (analytic,) = backward(pipeline.cross_entropy(logits, mask), [logits])
         numeric = finite_diff_grad(
             lambda t: pipeline.cross_entropy(t, mask).item(), logits
         )
-        assert max_rel_error(logits.grad, numeric) <= 1e-4
+        assert max_rel_error(analytic, numeric) <= 1e-4
 
 
 class TestMiou:
@@ -158,12 +158,6 @@ class TestMiou:
         before = cm.counts.copy()
         cm.update(truth, pred)
         assert np.all(cm.counts >= before)
-        other = pipeline.ConfusionMatrix(3)
-        other.update(truth, pred)
-        merged = pipeline.ConfusionMatrix(3)
-        merged.update(truth, pred)
-        merged.merge(other)
-        assert np.array_equal(merged.counts, cm.counts)
 
 
 class TestSyntheticScenes:

@@ -14,6 +14,7 @@ from ivgf.tensor import (
     attention,
     concat,
     conv2d,
+    feature_map,
     layer_norm,
     linear,
     narrow,
@@ -21,7 +22,7 @@ from ivgf.tensor import (
     reshape,
     sigmoid,
     softmax_rows,
-    transpose,
+    tokens,
     upsample_nearest,
 )
 
@@ -192,6 +193,34 @@ class TestAttention:
             attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4))), Tensor(np.zeros((4, 4))), 2)
 
 
+class TestTokenLayout:
+    def test_matches_loop_oracle(self):
+        rng = RNG(40)
+        for c, h, w in ((3, 2, 5), (1, 4, 1), (6, 1, 3)):
+            x = rng.uniform(-2, 2, (c, h, w))
+            out = tokens(Tensor(x))
+            assert out.shape == (h * w, c) and out.data.flags.c_contiguous
+            assert np.max(np.abs(out.data - oracles.tokens_naive(x))) < 1e-12
+            back = feature_map(Tensor(oracles.tokens_naive(x)), h, w)
+            assert back.shape == (c, h, w) and back.data.flags.c_contiguous
+            assert np.max(np.abs(back.data - x)) < 1e-12
+
+    def test_round_trip_is_identity(self):
+        rng = RNG(41)
+        x = rng.uniform(-2, 2, (4, 3, 2))
+        assert np.array_equal(feature_map(tokens(Tensor(x)), 3, 2).data, x)
+        rows = rng.uniform(-2, 2, (6, 4))
+        assert np.array_equal(tokens(feature_map(Tensor(rows), 2, 3)).data, rows)
+
+    def test_rejects_wrong_shapes(self):
+        with pytest.raises(DimensionError):
+            tokens(Tensor(np.zeros((4, 6))))
+        with pytest.raises(DimensionError):
+            feature_map(Tensor(np.zeros((6, 4))), 2, 2)
+        with pytest.raises(DimensionError):
+            feature_map(Tensor(np.zeros((2, 3, 4))), 2, 3)
+
+
 class TestAdaptivePool:
     def test_global_avg_is_channel_mean(self):
         rng = RNG(12)
@@ -255,7 +284,7 @@ class TestPurityAndInvariants:
         x = rng.uniform(-1, 1, (3, 4))
         t = Tensor(x)
         assert np.array_equal(reshape(t, (12,)).data, x.reshape(12))
-        assert np.array_equal(transpose(t).data, x.T)
+        assert np.array_equal(tokens(reshape(t, (3, 4, 1))).data, x.T)
         assert np.array_equal(narrow(t, 1, 1, 2).data, x[:, 1:3])
         joined = concat([t, t], axis=0)
         assert joined.shape == (6, 4)
