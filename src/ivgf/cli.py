@@ -12,6 +12,7 @@ Seed precedence: --seed flag > IVGF_SEED env var > train.seed config key.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 import time
@@ -44,6 +45,21 @@ def _resolve_seed(flag_seed, cfg) -> int:
     return cfg.train_seed
 
 
+def _blas_threads() -> str:
+    """Thread count of the OpenBLAS bundled with numpy, or "unknown" when it cannot be read."""
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                return str(fn())
+    return "unknown"
+
+
 def _write_metadata(out_dir: Path, command: str, cfg, seed: int, outputs) -> None:
     # commands call this once their results are computed, so a failed
     # command leaves no directory; metadata goes down before any result file
@@ -53,6 +69,8 @@ def _write_metadata(out_dir: Path, command: str, cfg, seed: int, outputs) -> Non
         f"version = {__version__}",
         f"seed = {seed}",
         f"wall_clock = {time.strftime('%Y-%m-%dT%H:%M:%S%z')}",
+        f"blas_threads = {_blas_threads()}",
+        f"cores = {os.cpu_count()}",
         "outputs = " + ",".join(outputs),
         "",
         cfg.dump().rstrip("\n"),

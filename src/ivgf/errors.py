@@ -21,3 +21,7 @@ class FormatError(ValueError):
 
 class NonFiniteError(ArithmeticError):
     """A loss or parameter went NaN/Inf (or overflows float32 storage); the message names where."""
+
+
+class DetachedParameterError(RuntimeError):
+    """A parameter's .data no longer views the optimizer's arena, so its update would be lost."""

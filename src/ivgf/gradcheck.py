@@ -70,7 +70,7 @@ def _all_entries(tensors: dict) -> dict:
 
 def _randomize(store: ParamStore, rng: RngState, scale: float = 0.6):
     for name, p in store.items():
-        p.data = rng.derive("randomize", name).fill_uniform(p.data.shape, -scale, scale)
+        p.data[...] = rng.derive("randomize", name).fill_uniform(p.data.shape, -scale, scale)
 
 
 def _input(rng: RngState, key, shape) -> Tensor:

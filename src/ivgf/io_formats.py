@@ -282,6 +282,16 @@ def _int_at_least(minimum):
     return parse
 
 
+def _int_in(lo, hi):
+    def parse(raw):
+        value = int(raw)
+        if not lo <= value <= hi:
+            raise ValueError(f"must lie in [{lo}, {hi}]")
+        return value
+
+    return parse
+
+
 def _real_in(lo, hi):
     def parse(raw):
         value = float(raw)
@@ -333,7 +343,8 @@ _KEYS = {
     "backbone.base_width": ("backbone_base_width", _int_at_least(1)),
     "backbone.depth": ("backbone_depth", _int_at_least(1)),
     "head.width": ("head_width", _int_at_least(1)),
-    "head.classes": ("head_classes", _int_at_least(2)),
+    # class ids 0..classes-1 must stay below the ignore label 255
+    "head.classes": ("head_classes", _int_in(2, 255)),
     "aug.enabled": ("aug_enabled", _parse_bool),
     "aug.grid_rows": ("aug_grid_rows", _int_at_least(1)),
     "aug.grid_cols": ("aug_grid_cols", _int_at_least(1)),

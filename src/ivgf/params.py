@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError
 from .rng import RngState
 from .tensor import Tensor
 
@@ -51,13 +51,18 @@ class ParamStore:
         return {name: p.data for name, p in self._params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]):
-        """Copy values in by name; names and shapes must match exactly."""
+        """Copy values in by name, in place; names and shapes must match exactly.
+
+        Every entry is checked (shape, then finiteness) before any is
+        written, so a refused load leaves the store as it was.
+        """
         missing = [n for n in self._params if n not in arrays]
         extra = [n for n in arrays if n not in self._params]
         if missing or extra:
             raise DimensionError(
                 f"parameter set mismatch: missing {missing[:3]}, unexpected {extra[:3]}"
             )
+        checked = []
         for name, values in arrays.items():
             p = self._params[name]
             values = np.asarray(values, dtype=np.float64)
@@ -65,7 +70,31 @@ class ParamStore:
                 raise DimensionError(
                     f"parameter {name!r}: stored shape {values.shape} != model shape {p.data.shape}"
                 )
-            p.data = values.copy()
+            if not np.all(np.isfinite(values)):
+                raise NonFiniteError(f"parameter {name!r} holds a NaN or infinite value; refusing to load it")
+            checked.append((p, values))
+        for p, values in checked:
+            p.data[...] = values
+
+    def views(self, arena: np.ndarray) -> dict[str, np.ndarray]:
+        """{name: view} of a flat arena cut into the parameters' shapes, in store order."""
+        views, offset = {}, 0
+        for name, p in self._params.items():
+            views[name] = arena[offset : offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
+        return views
+
+    def pack(self) -> np.ndarray:
+        """Move every parameter into one contiguous float64 arena and return it.
+
+        Each parameter's .data becomes its view into the arena, so whatever
+        writes .data in place writes the arena.
+        """
+        arena = np.empty(sum(p.data.size for p in self._params.values()))
+        for p, view in zip(self._params.values(), self.views(arena).values()):
+            view[...] = p.data
+            p.data = view
+        return arena
 
 
 def weight(store: ParamStore, rng: RngState, name: str, shape, fan_in: int) -> Tensor:

@@ -453,15 +453,43 @@ def trace(root: Tensor) -> Graph:
     return Graph(nodes)
 
 
-def backward(loss: Tensor, wrt) -> list:
+def backward(loss: Tensor, wrt, out=None) -> list:
     """d(loss)/d(t) for each tensor t in wrt; zeros where the loss does not reach t.
 
-    A node's gradient is dropped once passed on to its parents, unless the node is in wrt."""
+    A node's gradient is dropped once passed on to its parents, unless the
+    node is in wrt. With `out`, one array of t's shape per tensor t in wrt,
+    t's gradient is summed straight into its array and the array returned:
+    the first contribution is copied in and later ones added in place, in
+    the order the fresh sums take without `out`, and an array the loss does
+    not reach is zeroed. Only these arrays are written in place; every other
+    node's sum is a new array, because a closure may hand one array object
+    to two parents.
+    """
     if loss.size != 1:
         raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
     wrt = list(wrt)
     keep = set(wrt)
-    grads = {loss: np.ones_like(loss.data)}
+    sinks = {}
+    if out is not None:
+        out = list(out)
+        if len(out) != len(wrt):
+            raise DimensionError(f"backward got {len(out)} output arrays for {len(wrt)} tensors")
+        sinks = dict(zip(wrt, out))
+    grads = {}
+
+    def accumulate(t, g):
+        sink = sinks.get(t)
+        if t not in grads:
+            if sink is not None:
+                np.copyto(sink, g)
+                g = sink
+            grads[t] = g
+        elif sink is None:
+            grads[t] = grads[t] + g
+        else:
+            np.add(sink, g, out=sink)
+
+    accumulate(loss, np.ones_like(loss.data))
     for node in reversed(trace(loss).nodes):
         g = grads.get(node) if node in keep else grads.pop(node, None)
         if g is None or node._backward_fn is None:
@@ -470,15 +498,23 @@ def backward(loss: Tensor, wrt) -> list:
         if FAULT_SIGN_OP is not None and node.op == FAULT_SIGN_OP:
             parent_grads = tuple(None if pg is None else -pg for pg in parent_grads)
         for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
-                continue
-            grads[parent] = pg if parent not in grads else grads[parent] + pg
+            if pg is not None and parent.requires_grad:
+                accumulate(parent, pg)
+    for t, sink in sinks.items():
+        if t not in grads:  # not reached this time: clear what an earlier pass left
+            sink.fill(0.0)
+            grads[t] = sink
     return [grads[t] if t in grads else np.zeros_like(t.data) for t in wrt]
 
 
-def named_gradients(loss: Tensor, params) -> dict:
-    """Backward pass returning {name: gradient}; unreached params get zeros."""
-    return dict(zip(params, backward(loss, params.values())))
+def named_gradients(loss: Tensor, params, out=None) -> dict:
+    """Backward pass returning {name: gradient}; unreached params get zeros.
+
+    With `out` ({name: array} covering params), the gradients are summed
+    into those arrays in place, as `backward` does with its `out`.
+    """
+    arrays = None if out is None else [out[name] for name in params]
+    return dict(zip(params, backward(loss, params.values(), arrays)))
 
 
 # -- independent gradient oracle ---------------------------------------------
@@ -498,17 +534,6 @@ def finite_diff_pair(f, x: Tensor, i: int, eps: float) -> tuple[float, float]:
     f_minus = float(f(x))
     flat[i] = orig
     return f_plus, f_minus
-
-
-def finite_diff_grad(f, x: Tensor, eps: float = 1e-5) -> np.ndarray:
-    """Central differences of a scalar function f(x), element by element."""
-    if eps <= 0:
-        raise ValueError(f"finite_diff_grad eps must be > 0, got {eps}")
-    grad = np.zeros(x.size)
-    for i in range(x.size):
-        f_plus, f_minus = finite_diff_pair(f, x, i, eps)
-        grad[i] = (f_plus - f_minus) / (2.0 * eps)
-    return grad.reshape(x.shape)
 
 
 def max_rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-3) -> float:

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from ivgf.tensor import finite_diff_pair
+
 
 def relu_naive(a):
     out = np.array(a, dtype=np.float64, copy=True)
@@ -241,3 +243,14 @@ def agf_naive(fx, fy, agf):
     merged = relu_naive(conv2d_naive(stacked, agf.merge_a_w.data, agf.merge_a_b.data))
     merged = conv2d_naive(merged, agf.merge_b_w.data, agf.merge_b_b.data)
     return conv2d_naive(merged, agf.merge_c_w.data, agf.merge_c_b.data, padding=1)
+
+
+def finite_diff_grad(f, x, eps=1e-5):
+    """Central differences of a scalar function f(x) of a Tensor x, element by element."""
+    if eps <= 0:
+        raise ValueError(f"finite_diff_grad eps must be > 0, got {eps}")
+    grad = np.zeros(x.size)
+    for i in range(x.size):
+        f_plus, f_minus = finite_diff_pair(f, x, i, eps)
+        grad[i] = (f_plus - f_minus) / (2.0 * eps)
+    return grad.reshape(x.shape)

@@ -16,7 +16,6 @@ from ivgf.tensor import (
     concat,
     conv2d,
     feature_map,
-    finite_diff_grad,
     layer_norm,
     linear,
     max_rel_error,
@@ -30,6 +29,7 @@ from ivgf.tensor import (
     trace,
     upsample_nearest,
 )
+from oracles import finite_diff_grad
 
 TRIALS = 20
 TOL = 1e-4
@@ -105,6 +105,43 @@ class TestBackwardSemantics:
         assert np.array_equal(loss.data, loss_before)
         for a, b in zip(first, backward(loss, [x, y])):  # nothing carried over between calls
             assert np.array_equal(a, b)
+
+    def test_out_arrays_receive_the_fresh_gradients_in_place(self):
+        # x is reached three times, so its sum exercises the copy and both in-place adds
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+        y = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+        loss = (relu(x * y) + x * x).sum()
+        fresh = backward(loss, [x, y])
+        out = [np.full((3, 4), 7.0), np.full((3, 4), 7.0)]
+        summed = backward(loss, [x, y], out=out)
+        for got, array, expected in zip(summed, out, fresh):
+            assert got is array
+            assert np.array_equal(got, expected)
+
+    def test_array_handed_to_both_parents_is_never_summed_into(self):
+        # add's backward hands one array object to x + y's two parents and to x
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(3), requires_grad=True)
+        loss = ((x + y) + x).sum()
+        for out in (None, [np.empty(3), np.empty(3)]):
+            gx, gy = backward(loss, [x, y], out=out)
+            assert np.array_equal(gx, [2.0, 2.0, 2.0]) and np.array_equal(gy, [1.0, 1.0, 1.0])
+
+    def test_unreached_out_array_is_zeroed(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(2), requires_grad=True)
+        out = {"x": np.empty(3), "y": np.empty(2)}
+        named_gradients((x * y.sum()).sum(), {"x": x, "y": y}, out=out)
+        assert np.array_equal(out["y"], [3.0, 3.0])
+        grads = named_gradients(x.sum(), {"x": x, "y": y}, out=out)  # y no longer reached
+        assert grads["y"] is out["y"] and np.array_equal(out["y"], [0.0, 0.0])
+        assert np.array_equal(out["x"], [1.0, 1.0, 1.0])
+
+    def test_out_count_must_match(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(DimensionError, match="1 output arrays for 2"):
+            backward(x.sum(), [x, x], out=[np.empty(2)])
 
 
 class TestFiniteDiffOracle:

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output files, metadata, seed precedence."""
 
 import os
+import struct
 import warnings
 
 import numpy as np
@@ -49,6 +50,16 @@ class TestForward:
         assert mask.max() < 4
         meta = (out / "run_metadata.txt").read_text()
         assert "seed = 1" in meta and "command = forward" in meta
+
+    def test_metadata_records_blas_threads_and_cores(self, tmp_path, small_config, image_pair):
+        ir, vis = image_pair
+        out = tmp_path / "out"
+        assert cli.main(["forward", "--config", small_config, "--ir", ir, "--vis", vis,
+                         "--out-dir", str(out)]) == 0
+        meta = dict(line.split(" = ", 1) for line in (out / "run_metadata.txt").read_text().splitlines()
+                    if " = " in line)
+        assert meta["blas_threads"] == "unknown" or int(meta["blas_threads"]) >= 1
+        assert meta["cores"] == str(os.cpu_count())
 
     def test_missing_ir_file_is_io_error_naming_path(self, tmp_path, small_config, image_pair, capsys):
         _, vis = image_pair
@@ -354,4 +365,38 @@ def test_eval_with_every_pixel_ignored_is_exit_3(tmp_path, small_config, capsys)
     assert code == 3
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "no labeled pixel" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "eval"])
+def test_checkpoint_holding_nan_is_exit_5_and_leaves_no_results_dir(tmp_path, small_config, image_pair, capsys,
+                                                                     command):
+    model = pipeline.build_model(io_formats.parse_config(SMALL_CFG), seed=0)
+    assert model.store.names()[-1] == "head.classifier.b"
+    data = bytearray(io_formats.encode_checkpoint(model.store))
+    data[-4:] = struct.pack("<f", float("nan"))  # the last value of the last entry
+    ckpt = tmp_path / "nan.ckpt"
+    ckpt.write_bytes(bytes(data))
+    if command == "forward":
+        ir, vis = image_pair
+        argv = ["forward", "--ir", ir, "--vis", vis]
+    else:
+        scenes = tmp_path / "data"
+        assert cli.main(["make-data", "--config", small_config, "--count", "1", "--out-dir", str(scenes)]) == 0
+        argv = ["eval", "--data", str(scenes)]
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--config", small_config, "--ckpt", str(ckpt), "--out-dir", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "'head.classifier.b'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("classes", ["256", "300"])
+def test_head_classes_above_255_is_exit_2_and_leaves_no_results_dir(tmp_path, capsys, classes):
+    cfg = tmp_path / "classes.cfg"
+    cfg.write_text(f"head.width = 8\nhead.classes = {classes}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["make-data", "--config", str(cfg), "--count", "1", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "line 2" in err and "head.classes" in err
     assert not out.exists()

@@ -271,6 +271,21 @@ class TestCheckpoint:
         with pytest.raises(NonFiniteError, match="'b'"):
             encode_checkpoint(self._store({"a": np.ones(2), "b": np.array([1.0, 1e39])}))
 
+    def test_load_writes_in_place(self):
+        store = self._store({"a": np.zeros(2), "b": np.zeros((2, 2))})
+        before = {name: p.data for name, p in store.items()}
+        store.load_arrays({"a": np.array([1.0, 2.0]), "b": np.eye(2)})
+        for name, p in store.items():
+            assert p.data is before[name]
+        assert np.array_equal(store["b"].data, np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_load_of_non_finite_value_refused_and_nothing_written(self, bad):
+        store = self._store({"a": np.zeros(2), "b": np.zeros(3)})
+        with pytest.raises(NonFiniteError, match="'b'"):
+            store.load_arrays({"a": np.ones(2), "b": np.array([1.0, 2.0, bad])})
+        assert not store["a"].data.any() and not store["b"].data.any()
+
 
 # lines that name real keys reach the value parsers and the cross-key checks;
 # raw text covers the line syntax
@@ -341,6 +356,12 @@ class TestConfig:
     def test_cutout_cells_bounded_by_grid(self):
         with pytest.raises(ConfigError, match="cutout_cells"):
             parse_config("aug.grid_rows = 2\naug.grid_cols = 2\naug.cutout_cells = 5\n")
+
+    @pytest.mark.parametrize("classes", ["256", "300"])
+    def test_classes_must_stay_below_the_ignore_label(self, classes):
+        with pytest.raises(ConfigError, match=r"line 2: bad value for 'head.classes': must lie in \[2, 255\]"):
+            parse_config(f"head.width = 8\nhead.classes = {classes}\n")
+        assert parse_config("head.classes = 255\n").head_classes == 255
 
     def test_dump_round_trips(self):
         cfg = parse_config("fem.mode = serial\ntrain.lr = 0.003\n")

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from ivgf import pipeline
+from ivgf import gradcheck, pipeline
 from ivgf.backbone import MultiScaleFeatures
-from ivgf.errors import NonFiniteError
+from ivgf.errors import DetachedParameterError, NonFiniteError
 from ivgf.io_formats import Config
 from ivgf.params import ParamStore
 from ivgf.rng import RngState
-from ivgf.tensor import Tensor, backward, finite_diff_grad, max_rel_error
+from ivgf.tensor import Tensor, backward, max_rel_error, named_gradients
+from oracles import finite_diff_grad
 
 SMALL = Config(backbone_base_width=8, head_width=8, data_image_size=32)
 
@@ -213,6 +214,84 @@ class TestAdamW:
             mhat, vhat = m / (1 - b1**t), v / (1 - b2**t)
             ref = ref - lr * mhat / (math.sqrt(vhat) + eps) - lr * wd * ref
             assert abs(p.data[0] - ref) < 1e-12
+
+    def test_chunked_update_equals_the_per_tensor_expressions_bitwise(self, monkeypatch):
+        # chunks of 5 over 7 + 4 values: both tensors straddle a chunk boundary
+        monkeypatch.setattr(pipeline, "ADAMW_CHUNK", 5)
+        rng = np.random.default_rng(8)
+        start = {"a": rng.uniform(-1, 1, 7), "b": rng.uniform(-1, 1, (2, 2))}
+        store = ParamStore()
+        for name, values in start.items():
+            store.add(name, Tensor(values.copy()))
+        lr, wd, b1, b2, eps = 0.01, 0.05, 0.9, 0.999, 1e-8
+        opt = pipeline.AdamW(store, lr=lr, weight_decay=wd)
+        ref = {name: values.copy() for name, values in start.items()}
+        m = {name: np.zeros_like(values) for name, values in start.items()}
+        v = {name: np.zeros_like(values) for name, values in start.items()}
+        for t in range(1, 4):
+            grads = {name: rng.uniform(-1, 1, values.shape) for name, values in start.items()}
+            opt.step(grads)
+            for name, g in grads.items():
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                update = (m[name] / (1.0 - b1**t)) / (np.sqrt(v[name] / (1.0 - b2**t)) + eps)
+                ref[name] = ref[name] - lr * update - lr * wd * ref[name]
+                assert np.array_equal(store[name].data, ref[name])
+            assert np.array_equal(opt.m, np.concatenate([m[name].ravel() for name in start]))
+            assert np.array_equal(opt.v, np.concatenate([v[name].ravel() for name in start]))
+
+
+class TestParameterArena:
+    def test_data_and_gradients_are_arena_views_after_a_train_step(self):
+        model = pipeline.build_model(SMALL, seed=0)
+        opt = pipeline.AdamW(model.store, lr=1e-3, weight_decay=0.05)
+        seen = {}
+        step = opt.step
+
+        def recording_step(grads):
+            seen.update(grads)
+            step(grads)
+
+        opt.step = recording_step
+        pipeline.train_step(model, pipeline.make_dataset(0, "train", 2, 32), opt, None, None)
+        assert set(seen) == set(model.store.names())
+        for name, p in model.store.items():
+            assert np.shares_memory(p.data, opt.param_arena), name
+            assert np.shares_memory(seen[name], opt.grad_arena), name
+
+    def test_checkpoint_load_and_gradcheck_randomize_write_the_arena(self):
+        model = pipeline.build_model(SMALL, seed=0)
+        opt = pipeline.AdamW(model.store, lr=1e-3)
+        saved = pipeline.build_model(SMALL, seed=1)
+        model.store.load_arrays(saved.store.arrays())
+        assert np.array_equal(opt.param_arena, np.concatenate([p.data.ravel() for p in saved.store.values()]))
+        gradcheck._randomize(model.store, RngState(2))
+        for name, p in model.store.items():
+            assert np.shares_memory(p.data, opt.param_arena), name
+        opt.step(opt.grads)  # every .data is still the view the optimizer packed
+
+    def test_rebound_data_is_refused_by_name(self):
+        store = ParamStore()
+        store.add("a", Tensor(np.ones(2)))
+        store.add("b", Tensor(np.ones(3)))
+        opt = pipeline.AdamW(store, lr=0.1)
+        store["b"].data = store["b"].data.copy()
+        with pytest.raises(DetachedParameterError, match="'b'"):
+            opt.step({"a": np.ones(2), "b": np.ones(3)})
+        assert opt.t == 0 and np.array_equal(store["a"].data, np.ones(2))
+
+    def test_parameter_reached_once_gets_zero_gradient_next_step(self):
+        store = ParamStore()
+        a = store.add("a", Tensor(np.array([1.0, 2.0])))
+        b = store.add("b", Tensor(np.array([3.0])))
+        opt = pipeline.AdamW(store, lr=0.1)
+        params = dict(store.items())
+        first = named_gradients((a * b).sum(), params, out=opt.grads)
+        assert np.array_equal(first["b"], [3.0])
+        opt.step(first)
+        second = named_gradients(a.sum(), params, out=opt.grads)
+        assert second["b"] is opt.grads["b"] and np.array_equal(second["b"], [0.0])
+        assert np.array_equal(opt.grad_arena, [1.0, 1.0, 0.0])
 
 
 class TestTraining:
