@@ -138,7 +138,8 @@ def cmd_forward(args) -> int:
     ir = _read_image(args.ir)
     vis = _read_image(args.vis)
     model = _load_model(cfg, seed, args.ckpt)
-    feats, logits = pipeline.model_forward(model, ir, vis)
+    with tensor.no_grad():
+        feats, logits = pipeline.model_forward(model, ir, vis)
     out_dir = Path(args.out_dir)
 
     outputs = ["mask.pgm"]
@@ -240,14 +241,16 @@ def cmd_make_data(args) -> int:
         raise ConfigError(f"--count must be >= 1, got {count}")
     scenes = pipeline.make_dataset(seed, args.split, count, cfg.data_image_size, cfg.head_classes)
     out_dir = Path(args.out_dir)
-    names = [f"scene_{i:03d}" for i in range(count)]
-    outputs = [f"{n}_{suffix}" for n in names for suffix in ("ir.ppm", "vis.ppm", "mask.pgm")]
-    _write_metadata(out_dir, "make-data", cfg, seed, outputs)
+    files = {}
+    for i, scene in enumerate(scenes):
+        name = f"scene_{i:03d}"
+        files[f"{name}_ir.ppm"] = io_formats.encode_pnm(scene.ir)
+        files[f"{name}_vis.ppm"] = io_formats.encode_pnm(scene.vis)
+        files[f"{name}_mask.pgm"] = io_formats.encode_pgm_labels(scene.mask)
+    _write_metadata(out_dir, "make-data", cfg, seed, list(files))
 
-    for name, scene in zip(names, scenes):
-        io_formats.write_pnm(scene.ir, out_dir / f"{name}_ir.ppm")
-        io_formats.write_pnm(scene.vis, out_dir / f"{name}_vis.ppm")
-        io_formats.write_pgm_labels(scene.mask, out_dir / f"{name}_mask.pgm")
+    for filename, data in files.items():
+        (out_dir / filename).write_bytes(data)
     return EXIT_OK
 
 

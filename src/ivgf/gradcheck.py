@@ -18,7 +18,7 @@ from . import backbone, fusion, pipeline
 from .io_formats import Config
 from .params import ParamStore
 from .rng import RngState
-from .tensor import Tensor, finite_diff_pair, max_rel_error, named_gradients
+from .tensor import Tensor, finite_diff_pair, max_rel_error, named_gradients, no_grad
 
 DEFAULT_TOLERANCE = 1e-4
 COMPOSED_TOLERANCE = 1e-3
@@ -45,7 +45,8 @@ def _check_entries(loss_fn, tensors: dict, entries: dict, tolerance: float) -> t
     del loss  # the tape holds every intermediate; free it before the FD loop
 
     def value(_):
-        return loss_fn().item()
+        with no_grad():  # a finite difference only evaluates f
+            return loss_fn().item()
 
     worst_err, worst_name = 0.0, "-"
     for name, idxs in entries.items():
@@ -78,14 +79,24 @@ def _input(rng: RngState, key, shape) -> Tensor:
     return Tensor(rng.derive(*keys).fill_uniform(shape, -1.0, 1.0), requires_grad=True)
 
 
-def _projection_loss(rng: RngState, key, *outputs) -> Tensor:
-    """Weighted sum with a fixed random projection, so gradients stay generic."""
-    total = None
-    for i, out in enumerate(outputs):
-        w = Tensor(rng.derive(key, i).fill_uniform(out.shape, -1.0, 1.0))
-        term = (out * w).sum()
-        total = term if total is None else total + term
-    return total
+def _projection_loss(rng: RngState, key):
+    """A loss summing its outputs weighted by a fixed random projection, so gradients stay generic.
+
+    Output i's weights are drawn from rng.derive(key, i) on the first call
+    and reused by every later call.
+    """
+    weights = []
+
+    def loss(*outputs) -> Tensor:
+        total = None
+        for i, out in enumerate(outputs):
+            if i == len(weights):
+                weights.append(Tensor(rng.derive(key, i).fill_uniform(out.shape, -1.0, 1.0)))
+            term = (out * weights[i]).sum()
+            total = term if total is None else total + term
+        return total
+
+    return loss
 
 
 def check_fem(seed: int, trials: int) -> BlockResult:
@@ -99,10 +110,10 @@ def check_fem(seed: int, trials: int) -> BlockResult:
         fx = _input(rng, "fx", (4, 3, 3))
         fy = _input(rng, "fy", (4, 3, 3))
         tensors = dict(store.items()) | {"input.fx": fx, "input.fy": fy}
+        project = _projection_loss(rng, "proj")
 
         def loss_fn():
-            ox, oy = fusion.fem_forward(fx, fy, fem)
-            return _projection_loss(rng, "proj", ox, oy)
+            return project(*fusion.fem_forward(fx, fy, fem))
 
         err, name = _check_entries(loss_fn, tensors, _all_entries(tensors), worst.tolerance)
         if err > worst.max_err:
@@ -120,10 +131,10 @@ def check_tem(seed: int, trials: int) -> BlockResult:
         tx = _input(rng, "tx", (3, 4))
         ty = _input(rng, "ty", (3, 4))
         tensors = dict(store.items()) | {"input.tx": tx, "input.ty": ty}
+        project = _projection_loss(rng, "proj")
 
         def loss_fn():
-            ox, oy = fusion.tem_forward(tx, ty, tem)
-            return _projection_loss(rng, "proj", ox, oy)
+            return project(*fusion.tem_forward(tx, ty, tem))
 
         err, name = _check_entries(loss_fn, tensors, _all_entries(tensors), worst.tolerance)
         if err > worst.max_err:
@@ -145,9 +156,10 @@ def check_agf(seed: int, trials: int) -> BlockResult:
         fx = _input(rng, "fx", (4, 2, 2))
         fy = _input(rng, "fy", (4, 2, 2))
         tensors = dict(store.items()) | {"input.fx": fx, "input.fy": fy}
+        project = _projection_loss(rng, "proj")
 
         def loss_fn():
-            return _projection_loss(rng, "proj", fusion.agf_forward(fx, fy, agf))
+            return project(fusion.agf_forward(fx, fy, agf))
 
         err, name = _check_entries(loss_fn, tensors, _all_entries(tensors), worst.tolerance)
         if err > worst.max_err:
@@ -177,9 +189,10 @@ def check_head(seed: int, trials: int, entries_per_trial: int = 48) -> BlockResu
         fused = [_input(rng, ("fused", i), shape) for i, shape in enumerate(shapes)]
         feats = backbone.MultiScaleFeatures(pairs=[], fused=fused)
         tensors = dict(store.items()) | {f"input.fused{i}": f for i, f in enumerate(fused)}
+        project = _projection_loss(rng, "proj")
 
         def loss_fn():
-            return _projection_loss(rng, "proj", pipeline.seg_forward(feats, head))
+            return project(pipeline.seg_forward(feats, head))
 
         pick = rng.derive("pick")
         names = sorted(tensors)

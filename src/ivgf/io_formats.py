@@ -130,16 +130,21 @@ def write_pnm(image, path) -> None:
         fh.write(data)
 
 
-def write_pgm_labels(ids: np.ndarray, path) -> None:
-    """Write an [H,W] integer label map as raw P5 gray levels (0..255)."""
+def encode_pgm_labels(ids: np.ndarray) -> bytes:
+    """Serialize an [H,W] integer label map as raw P5 gray levels (0..255)."""
     ids = np.asarray(ids)
     if ids.ndim != 2:
         raise DimensionError(f"label map must be [H,W], got shape {ids.shape}")
     if ids.min() < 0 or ids.max() > 255:
         raise ValueError("label ids must fit in one byte")
     h, w = ids.shape
+    return b"P5\n%d %d\n255\n" % (w, h) + ids.astype(np.uint8).tobytes()
+
+
+def write_pgm_labels(ids: np.ndarray, path) -> None:
+    data = encode_pgm_labels(ids)
     with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (w, h) + ids.astype(np.uint8).tobytes())
+        fh.write(data)
 
 
 def read_pgm_labels(path) -> np.ndarray:

@@ -23,6 +23,7 @@ from .tensor import (
     _node,
     conv2d,
     named_gradients,
+    no_grad,
     relu,
     trace,
     upsample_nearest,
@@ -362,7 +363,8 @@ def train_toy(cfg: Config, steps: int, seed: int):
 
 
 def predict(model: Model, ir: Tensor, vis: Tensor, missing: str = "none") -> np.ndarray:
-    _, logits = model_forward(model, ir, vis, missing)
+    with no_grad():  # forward only: each intermediate is freed once consumed
+        _, logits = model_forward(model, ir, vis, missing)
     # argmax over classes; ties resolve to the lowest class id
     return logits.data.argmax(axis=0)
 

@@ -6,11 +6,15 @@ Conventions:
   * every kernel result carries a creation sequence number; backward walks
     the reachable nodes in exact reverse creation order
   * a backward closure returns one gradient array (or None) per parent
+  * inside `no_grad()` kernels build no tape: each result is a leaf that
+    holds neither parents nor closure, so forward-only passes free every
+    intermediate once its consumer has run
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +26,9 @@ _seq_counter = itertools.count()
 # Test hook: when set to an op name, backward negates that op's parent
 # gradients, simulating a sign bug the gradcheck harness must catch.
 FAULT_SIGN_OP = None
+
+# False inside no_grad(): _node then records nothing for backward.
+_grad_enabled = True
 
 
 class Tensor:
@@ -82,8 +89,23 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+@contextmanager
+def no_grad():
+    """Run forward passes without a tape; the previous state returns on exit, also on error.
+
+    The values are the same as with the tape on: only the bookkeeping for
+    backward is skipped. Nests freely.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data, op, parents, backward_fn) -> Tensor:
-    req = any(p.requires_grad for p in parents)
+    req = _grad_enabled and any(p.requires_grad for p in parents)
     return Tensor(
         data,
         requires_grad=req,
@@ -217,7 +239,7 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     if x.ndim != 3:
         raise DimensionError(f"upsample_nearest expects [C,H,W], got shape {x.shape}")
     if factor < 1:
-        raise ValueError(f"upsample factor must be >= 1, got {factor}")
+        raise DimensionError(f"upsample factor must be >= 1, got {factor}")
     c, h, w = x.shape
     out = np.repeat(np.repeat(x.data, factor, axis=1), factor, axis=2)
 
@@ -255,7 +277,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         raise DimensionError(f"conv2d expects input [C,H,W], got shape {x.shape}")
     c_out, c_in, kh, kw = weight.shape
     if kh != kw or kh not in (1, 3):
-        raise ValueError(f"conv2d supports square 1x1 or 3x3 kernels, got {kh}x{kw}")
+        raise DimensionError(f"conv2d supports square 1x1 or 3x3 kernels, got {kh}x{kw}")
     if x.shape[0] != c_in:
         raise DimensionError(
             f"conv2d: weight expects {c_in} input channels, input has {x.shape[0]}"
@@ -263,7 +285,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     if bias.shape != (c_out,):
         raise DimensionError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
     if stride < 1:
-        raise ValueError(f"conv2d stride must be >= 1, got {stride}")
+        raise DimensionError(f"conv2d stride must be >= 1, got {stride}")
     _, h, w = x.shape
     k = kh
     if h + 2 * padding < k or w + 2 * padding < k:
@@ -272,8 +294,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     w_out = (w + 2 * padding - k) // stride + 1
 
     xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding)))
+    if padding:  # one zeroed buffer and a slice copy: np.pad costs far more per call
+        xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
+        xp[:, padding : padding + h, padding : padding + w] = x.data
 
     # im2col: cols[c, di, dj, i, j] = padded[c, i*s + di, j*s + dj]
     cols = np.empty((c_in, k, k, h_out, w_out))
@@ -309,10 +332,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     if eps <= 0:
         raise ValueError(f"layer_norm eps must be > 0, got {eps}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)  # biased: divide by C
+    d = x.data - x.data.mean(axis=1, keepdims=True)
+    var = (d * d).sum(axis=1, keepdims=True) / c  # biased, the same sums np.var takes
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
+    xhat = d * inv_std
 
     def back(g):
         gy = g * gamma.data

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from ivgf import pipeline
 from ivgf.errors import DimensionError
+from ivgf.io_formats import Config
 from ivgf.pipeline import cross_entropy
 from ivgf.tensor import (
     Tensor,
@@ -21,6 +23,7 @@ from ivgf.tensor import (
     max_rel_error,
     named_gradients,
     narrow,
+    no_grad,
     relu,
     reshape,
     sigmoid,
@@ -142,6 +145,60 @@ class TestBackwardSemantics:
         x = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(DimensionError, match="1 output arrays for 2"):
             backward(x.sum(), [x, x], out=[np.empty(2)])
+
+
+class TestNoGrad:
+    CFG = Config(backbone_base_width=8, head_width=8, data_image_size=32)
+
+    def _scene(self, seed):
+        scene = pipeline.make_dataset(seed, "eval", 1, 32)[0]
+        return scene.ir, scene.vis, scene.mask
+
+    def test_model_forward_builds_no_tape(self):
+        model = pipeline.build_model(self.CFG, seed=0)
+        ir, vis, _ = self._scene(1)
+        with no_grad():
+            feats, logits = pipeline.model_forward(model, ir, vis)
+        for t in [logits, *feats.fused, *(f for pair in feats.pairs for f in pair)]:
+            assert t._parents == () and t._backward_fn is None and not t.requires_grad
+        assert trace(logits).nodes == [logits]
+
+    def test_values_match_the_taped_forward_bitwise(self):
+        model = pipeline.build_model(self.CFG, seed=0)
+        ir, vis, _ = self._scene(2)
+        taped = pipeline.model_forward(model, ir, vis)[1]
+        with no_grad():
+            free = pipeline.model_forward(model, ir, vis)[1]
+        assert len(trace(taped).nodes) > 1
+        assert np.array_equal(free.data, taped.data)
+
+    def test_previous_state_returns_after_a_raise_and_when_nested(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(DimensionError):
+            with no_grad():
+                backward(x + x, [x])  # non-scalar loss
+        assert (x * x)._parents == (x, x)
+        with no_grad():
+            with no_grad():
+                assert (x * x)._parents == ()
+            assert (x * x)._parents == ()  # the outer block is still active
+        assert (x * x)._backward_fn is not None
+
+    def test_taped_forward_after_a_no_grad_block_gives_fresh_gradients(self):
+        ir, vis, mask = self._scene(3)
+
+        def gradients():
+            model = pipeline.build_model(self.CFG, seed=5)
+            loss = cross_entropy(pipeline.model_forward(model, ir, vis)[1], mask)
+            return named_gradients(loss, dict(model.store.items()))
+
+        fresh = gradients()
+        with no_grad():
+            pipeline.model_forward(pipeline.build_model(self.CFG, seed=5), ir, vis)
+        after = gradients()
+        assert fresh.keys() == after.keys()
+        for name in fresh:
+            assert np.array_equal(fresh[name], after[name]), name
 
 
 class TestFiniteDiffOracle:

@@ -214,6 +214,23 @@ class TestTrainEval:
         assert len(err.strip().splitlines()) == 1 and "--count" in err
         assert not out.exists()
 
+    def test_make_data_encoding_failure_on_the_last_scene_leaves_no_results_dir(
+        self, tmp_path, small_config, capsys, monkeypatch
+    ):
+        make_dataset = pipeline.make_dataset
+
+        def last_mask_unencodable(*args, **kwargs):
+            scenes = make_dataset(*args, **kwargs)
+            scenes[-1].mask = scenes[-1].mask[None]  # [1,H,W] is no label map
+            return scenes
+
+        monkeypatch.setattr(pipeline, "make_dataset", last_mask_unencodable)
+        out = tmp_path / "o"
+        assert cli.main(["make-data", "--config", small_config, "--count", "3", "--out-dir", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "shape error" in err
+        assert not out.exists()
+
     def test_config_file_not_utf8_is_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes("# r\xe9glages\nhead.width = 8\n".encode("latin-1"))

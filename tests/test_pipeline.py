@@ -347,3 +347,15 @@ class TestEvaluate:
         a = pipeline.report_csv(pipeline.evaluate(scenes, model, "none"))
         b = pipeline.report_csv(pipeline.evaluate(scenes, model, "none"))
         assert a == b
+
+    @pytest.mark.parametrize("missing", ["none", "ir", "vis"])
+    def test_predict_and_evaluate_match_the_taped_forward(self, missing):
+        model = pipeline.build_model(SMALL, seed=6)
+        scenes = pipeline.make_dataset(8, "eval", 2, 32)
+        cm = pipeline.ConfusionMatrix(model.head.classes)
+        for scene in scenes:
+            expected = pipeline.model_forward(model, scene.ir, scene.vis, missing)[1].data.argmax(0)
+            assert np.array_equal(pipeline.predict(model, scene.ir, scene.vis, missing), expected)
+            cm.update(scene.mask, expected)
+        report = pipeline.evaluate(scenes, model, missing)
+        assert np.array_equal(report["confusion"].counts, cm.counts)

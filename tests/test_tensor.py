@@ -309,6 +309,34 @@ def test_linear_supports_leading_batch_dims():
         assert np.max(np.abs(out.data[i] - oracles.linear_naive(x[i], w, b))) < 1e-12
 
 
+class TestArgumentErrors:
+    """Bad kernel arguments raise DimensionError, which callers can still catch as ValueError."""
+
+    @pytest.mark.parametrize("k", [(5, 5), (1, 3)])
+    def test_conv2d_kernel_size(self, k):
+        with pytest.raises(DimensionError, match="1x1 or 3x3"):
+            conv2d(Tensor(np.zeros((1, 6, 6))), Tensor(np.zeros((2, 1) + k)), Tensor(np.zeros(2)))
+
+    def test_conv2d_stride(self):
+        with pytest.raises(DimensionError, match="stride"):
+            conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((2, 1, 3, 3))), Tensor(np.zeros(2)), stride=0)
+
+    def test_upsample_factor(self):
+        with pytest.raises(DimensionError, match="factor"):
+            upsample_nearest(Tensor(np.zeros((1, 2, 2))), 0)
+        assert issubclass(DimensionError, ValueError)
+
+
+@pytest.mark.parametrize("shape", [(16, 128), (256, 64), (64, 512), (7, 33), (3, 4), (1, 5)])
+def test_layer_norm_variance_is_numpys_bitwise(shape):
+    x = RNG(sum(shape)).uniform(-3, 3, shape)
+    c = shape[1]
+    out = layer_norm(Tensor(x), Tensor(np.ones(c)), Tensor(np.zeros(c)), eps=1e-5)
+    # the expressions of the two-pass form, with np.var for the variance
+    inv_std = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
+    assert np.array_equal(out.data, (x - x.mean(axis=1, keepdims=True)) * inv_std)
+
+
 def test_narrow_rejects_out_of_range():
     from ivgf.errors import DimensionError as DE
 
