@@ -60,9 +60,12 @@ def _blas_threads() -> str:
     return "unknown"
 
 
-def _write_metadata(out_dir: Path, command: str, cfg, seed: int, outputs) -> None:
-    # commands call this once their results are computed, so a failed
-    # command leaves no directory; metadata goes down before any result file
+def _write_results(out_dir: Path, command: str, cfg, seed: int, files: dict) -> None:
+    """Write run_metadata.txt to out_dir, then each {path: bytes} of files.
+
+    Commands call this once every result is computed and encoded, so a
+    failed command leaves no directory.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
         f"command = {command}",
@@ -71,11 +74,13 @@ def _write_metadata(out_dir: Path, command: str, cfg, seed: int, outputs) -> Non
         f"wall_clock = {time.strftime('%Y-%m-%dT%H:%M:%S%z')}",
         f"blas_threads = {_blas_threads()}",
         f"cores = {os.cpu_count()}",
-        "outputs = " + ",".join(outputs),
+        "outputs = " + ",".join(path.name for path in files),
         "",
         cfg.dump().rstrip("\n"),
     ]
     (out_dir / "run_metadata.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for path, data in files.items():
+        path.write_bytes(data)
 
 
 def _read_image(path: str):
@@ -141,31 +146,19 @@ def cmd_forward(args) -> int:
     with tensor.no_grad():
         feats, logits = pipeline.model_forward(model, ir, vis)
     out_dir = Path(args.out_dir)
-
-    outputs = ["mask.pgm"]
-    if args.dump_features:
-        outputs += [f"feat_s{i}_{tag}.pgm" for i in range(1, 5) for tag in ("x", "y", "xy")]
-    _write_metadata(out_dir, "forward", cfg, seed, outputs)
-
-    io_formats.write_pgm_labels(logits.data.argmax(axis=0), out_dir / "mask.pgm")
+    files = {out_dir / "mask.pgm": io_formats.encode_pgm_labels(logits.data.argmax(axis=0))}
     if args.dump_features:
         for i, ((fx, fy), fxy) in enumerate(zip(feats.pairs, feats.fused), start=1):
             for tag, fmap in (("x", fx), ("y", fy), ("xy", fxy)):
-                io_formats.write_pnm(feature_projection(fmap)[None], out_dir / f"feat_s{i}_{tag}.pgm")
+                files[out_dir / f"feat_s{i}_{tag}.pgm"] = io_formats.encode_pnm(feature_projection(fmap)[None])
+    _write_results(out_dir, "forward", cfg, seed, files)
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
-        print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
-        return EXIT_CONFIG
-    fault = os.environ.get("IVGF_FAULT_INJECT")
-    if fault:
-        tensor.FAULT_SIGN_OP = fault  # test hook: flips one op's backward sign
-    try:
-        results = gradcheck.run_suite(seed=args.seed, trials=args.trials)
-    finally:
-        tensor.FAULT_SIGN_OP = None
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    results = gradcheck.run_suite(seed=args.seed, trials=args.trials)
     print(f"{'block':<12} {'max_rel_err':>12} {'tolerance':>10}  status")
     failed = []
     for res in results:
@@ -186,17 +179,22 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_toy(args) -> int:
     cfg = io_formats.load_config(args.config)
     seed = _resolve_seed(args.seed, cfg)
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     out_dir = Path(args.out_dir)
     ckpt_path = Path(args.out_ckpt) if args.out_ckpt else out_dir / "model.ckpt"
     if ckpt_path.parent != out_dir and not ckpt_path.parent.is_dir():
         raise FileNotFoundError(f"checkpoint directory not found: {ckpt_path.parent}")
+    # out_dir and its parents will be directories once the results are written
+    if ckpt_path.is_dir() or out_dir.resolve().is_relative_to(ckpt_path.resolve()):
+        raise IsADirectoryError(f"checkpoint path is a directory: {ckpt_path}")
     model, losses = pipeline.train_toy(cfg, steps=args.steps, seed=seed)
-    ckpt = io_formats.encode_checkpoint(model.store)
     curve = "step,loss\n" + "".join(f"{i},{loss!r}\n" for i, loss in enumerate(losses))
-    _write_metadata(out_dir, "train-toy", cfg, seed, ["loss_curve.csv", ckpt_path.name])
-
-    (out_dir / "loss_curve.csv").write_text(curve, encoding="utf-8")
-    ckpt_path.write_bytes(ckpt)
+    files = {
+        out_dir / "loss_curve.csv": curve.encode("utf-8"),
+        ckpt_path: io_formats.encode_checkpoint(model.store),
+    }
+    _write_results(out_dir, "train-toy", cfg, seed, files)
     return EXIT_OK
 
 
@@ -207,11 +205,13 @@ def cmd_eval(args) -> int:
     model = _load_model(cfg, seed, args.ckpt)
     report = pipeline.evaluate(scenes, model, missing=args.missing)
     out_dir = Path(args.out_dir)
-    _write_metadata(out_dir, "eval", cfg, seed, ["report.txt", "report.csv"])
-
-    (out_dir / "report.txt").write_text(pipeline.report_text(report), encoding="utf-8")
-    (out_dir / "report.csv").write_text(pipeline.report_csv(report), encoding="utf-8")
-    print(pipeline.report_text(report), end="")
+    text = pipeline.report_text(report)
+    files = {
+        out_dir / "report.txt": text.encode("utf-8"),
+        out_dir / "report.csv": pipeline.report_csv(report).encode("utf-8"),
+    }
+    _write_results(out_dir, "eval", cfg, seed, files)
+    print(text, end="")
     return EXIT_OK
 
 
@@ -223,11 +223,12 @@ def cmd_augment(args) -> int:
     aug_cfg = pipeline.aug_config_from(cfg)
     ir2, vis2, record = augment.cma_apply(ir, vis, aug_cfg, RngState(seed).derive("augment"))
     out_dir = Path(args.out_dir)
-    _write_metadata(out_dir, "augment", cfg, seed, ["ir_aug.ppm", "vis_aug.ppm", "record.txt"])
-
-    io_formats.write_pnm(tensor.Tensor(ir2.data.clip(0.0, 1.0)), out_dir / "ir_aug.ppm")
-    io_formats.write_pnm(tensor.Tensor(vis2.data.clip(0.0, 1.0)), out_dir / "vis_aug.ppm")
-    (out_dir / "record.txt").write_text(record.as_text(), encoding="utf-8")
+    files = {
+        out_dir / "ir_aug.ppm": io_formats.encode_pnm(ir2.data.clip(0.0, 1.0)),
+        out_dir / "vis_aug.ppm": io_formats.encode_pnm(vis2.data.clip(0.0, 1.0)),
+        out_dir / "record.txt": record.as_text().encode("utf-8"),
+    }
+    _write_results(out_dir, "augment", cfg, seed, files)
     return EXIT_OK
 
 
@@ -243,14 +244,11 @@ def cmd_make_data(args) -> int:
     out_dir = Path(args.out_dir)
     files = {}
     for i, scene in enumerate(scenes):
-        name = f"scene_{i:03d}"
-        files[f"{name}_ir.ppm"] = io_formats.encode_pnm(scene.ir)
-        files[f"{name}_vis.ppm"] = io_formats.encode_pnm(scene.vis)
-        files[f"{name}_mask.pgm"] = io_formats.encode_pgm_labels(scene.mask)
-    _write_metadata(out_dir, "make-data", cfg, seed, list(files))
-
-    for filename, data in files.items():
-        (out_dir / filename).write_bytes(data)
+        stem = f"scene_{i:03d}"
+        files[out_dir / f"{stem}_ir.ppm"] = io_formats.encode_pnm(scene.ir)
+        files[out_dir / f"{stem}_vis.ppm"] = io_formats.encode_pnm(scene.vis)
+        files[out_dir / f"{stem}_mask.pgm"] = io_formats.encode_pgm_labels(scene.mask)
+    _write_results(out_dir, "make-data", cfg, seed, files)
     return EXIT_OK
 
 

@@ -38,7 +38,7 @@ class BlockResult:
 
 
 def _check_entries(loss_fn, tensors: dict, entries: dict, tolerance: float) -> tuple[float, str]:
-    """Compare tape gradients of loss_fn against FD on the chosen entries."""
+    """Compare tape gradients of loss_fn against FD on the chosen entries, in index order."""
     loss = loss_fn()
     f0 = loss.item()
     grads = named_gradients(loss, tensors)
@@ -52,7 +52,7 @@ def _check_entries(loss_fn, tensors: dict, entries: dict, tolerance: float) -> t
     for name, idxs in entries.items():
         t = tensors[name]
         analytic = grads[name].reshape(-1)
-        for i in idxs:
+        for i in sorted(idxs):
             f_plus, f_minus = finite_diff_pair(value, t, i, FD_EPS)
             numeric = (f_plus - f_minus) / (2.0 * FD_EPS)
             right, left = (f_plus - f0) / FD_EPS, (f0 - f_minus) / FD_EPS
@@ -99,10 +99,23 @@ def _projection_loss(rng: RngState, key):
     return loss
 
 
-def check_fem(seed: int, trials: int) -> BlockResult:
-    worst = BlockResult("fem", 0.0, DEFAULT_TOLERANCE, "-")
+def _worst_trial(block: str, tolerance: float, seed: int, trials: int, key: str, case) -> BlockResult:
+    """Check case(rng, trial) for every trial and keep the worst entry seen.
+
+    case returns (loss_fn, tensors, entries, note); note is appended to the
+    name of a worst entry found in that trial.
+    """
+    worst = BlockResult(block, 0.0, tolerance, "-")
     for trial in range(trials):
-        rng = RngState(seed).derive("gradcheck", "fem", trial)
+        loss_fn, tensors, entries, note = case(RngState(seed).derive("gradcheck", key, trial), trial)
+        err, name = _check_entries(loss_fn, tensors, entries, tolerance)
+        if err > worst.max_err:
+            worst.max_err, worst.worst = err, name + note
+    return worst
+
+
+def check_fem(seed: int, trials: int) -> BlockResult:
+    def case(rng, trial):
         mode = fusion.FEM_MODES[trial % len(fusion.FEM_MODES)]
         store = ParamStore()
         fem = fusion.build_fem(store, rng, "fem", c=4, mode=mode)
@@ -111,20 +124,14 @@ def check_fem(seed: int, trials: int) -> BlockResult:
         fy = _input(rng, "fy", (4, 3, 3))
         tensors = dict(store.items()) | {"input.fx": fx, "input.fy": fy}
         project = _projection_loss(rng, "proj")
+        return (lambda: project(*fusion.fem_forward(fx, fy, fem)), tensors, _all_entries(tensors),
+                f" (mode={mode})")
 
-        def loss_fn():
-            return project(*fusion.fem_forward(fx, fy, fem))
-
-        err, name = _check_entries(loss_fn, tensors, _all_entries(tensors), worst.tolerance)
-        if err > worst.max_err:
-            worst.max_err, worst.worst = err, f"{name} (mode={mode})"
-    return worst
+    return _worst_trial("fem", DEFAULT_TOLERANCE, seed, trials, "fem", case)
 
 
 def check_tem(seed: int, trials: int) -> BlockResult:
-    worst = BlockResult("tem", 0.0, DEFAULT_TOLERANCE, "-")
-    for trial in range(trials):
-        rng = RngState(seed).derive("gradcheck", "tem", trial)
+    def case(rng, trial):
         store = ParamStore()
         tem = fusion.build_tem(store, rng, "tem", c=4, n_adapters=2 if trial % 3 else 0)
         _randomize(store, rng)
@@ -132,21 +139,15 @@ def check_tem(seed: int, trials: int) -> BlockResult:
         ty = _input(rng, "ty", (3, 4))
         tensors = dict(store.items()) | {"input.tx": tx, "input.ty": ty}
         project = _projection_loss(rng, "proj")
+        return lambda: project(*fusion.tem_forward(tx, ty, tem)), tensors, _all_entries(tensors), ""
 
-        def loss_fn():
-            return project(*fusion.tem_forward(tx, ty, tem))
-
-        err, name = _check_entries(loss_fn, tensors, _all_entries(tensors), worst.tolerance)
-        if err > worst.max_err:
-            worst.max_err, worst.worst = err, name
-    return worst
+    return _worst_trial("tem", DEFAULT_TOLERANCE, seed, trials, "tem", case)
 
 
 def check_agf(seed: int, trials: int) -> BlockResult:
-    worst = BlockResult("agf", 0.0, DEFAULT_TOLERANCE, "-")
     heads_cycle = (1, 2, 4)
-    for trial in range(trials):
-        rng = RngState(seed).derive("gradcheck", "agf", trial)
+
+    def case(rng, trial):
         store = ParamStore()
         agf = fusion.build_agf(store, rng, "agf", c=4, heads=heads_cycle[trial % 3])
         _randomize(store, rng)
@@ -157,14 +158,9 @@ def check_agf(seed: int, trials: int) -> BlockResult:
         fy = _input(rng, "fy", (4, 2, 2))
         tensors = dict(store.items()) | {"input.fx": fx, "input.fy": fy}
         project = _projection_loss(rng, "proj")
+        return lambda: project(fusion.agf_forward(fx, fy, agf)), tensors, _all_entries(tensors), ""
 
-        def loss_fn():
-            return project(fusion.agf_forward(fx, fy, agf))
-
-        err, name = _check_entries(loss_fn, tensors, _all_entries(tensors), worst.tolerance)
-        if err > worst.max_err:
-            worst.max_err, worst.worst = err, name
-    return worst
+    return _worst_trial("agf", DEFAULT_TOLERANCE, seed, trials, "agf", case)
 
 
 def _small_config() -> Config:
@@ -177,12 +173,11 @@ def _small_config() -> Config:
 
 
 def check_head(seed: int, trials: int, entries_per_trial: int = 48) -> BlockResult:
-    worst = BlockResult("seg_head", 0.0, DEFAULT_TOLERANCE, "-")
     cfg = _small_config()
     base = 8  # scale-1 spatial size for a 32x32 input
     shapes = [(c, base // 2**i, base // 2**i) for i, c in enumerate(cfg.widths())]
-    for trial in range(trials):
-        rng = RngState(seed).derive("gradcheck", "head", trial)
+
+    def case(rng, trial):
         store = ParamStore()
         head = pipeline.build_head(store, rng, cfg)
         _randomize(store, rng)
@@ -190,29 +185,23 @@ def check_head(seed: int, trials: int, entries_per_trial: int = 48) -> BlockResu
         feats = backbone.MultiScaleFeatures(pairs=[], fused=fused)
         tensors = dict(store.items()) | {f"input.fused{i}": f for i, f in enumerate(fused)}
         project = _projection_loss(rng, "proj")
-
-        def loss_fn():
-            return project(pipeline.seg_forward(feats, head))
-
         pick = rng.derive("pick")
         names = sorted(tensors)
         entries: dict = {}
         for _ in range(entries_per_trial):
             name = names[pick.randint(len(names))]
             entries.setdefault(name, set()).add(pick.randint(tensors[name].size))
-        err, name = _check_entries(loss_fn, tensors, {k: sorted(v) for k, v in entries.items()}, worst.tolerance)
-        if err > worst.max_err:
-            worst.max_err, worst.worst = err, name
-    return worst
+        return lambda: project(pipeline.seg_forward(feats, head)), tensors, entries, ""
+
+    return _worst_trial("seg_head", DEFAULT_TOLERANCE, seed, trials, "head", case)
 
 
 def check_end_to_end(seed: int, trials: int) -> BlockResult:
     """Composed loss through head + fusion blocks + backbone at 32x32."""
-    worst = BlockResult("end_to_end", 0.0, COMPOSED_TOLERANCE, "-")
     cfg = _small_config()
     groups = ("x.", "y.", "fem", "tem", "agf", "head.")
-    for trial in range(trials):
-        rng = RngState(seed).derive("gradcheck", "e2e", trial)
+
+    def case(rng, trial):
         model = pipeline.build_model(cfg, seed=seed * 1000 + trial)
         size = cfg.data_image_size
         ir = Tensor(rng.derive("ir").fill_uniform((3, size, size)), requires_grad=True)
@@ -231,10 +220,9 @@ def check_end_to_end(seed: int, trials: int) -> BlockResult:
             name = names[pick.randint(len(names))]
             entries.setdefault(name, set()).add(pick.randint(tensors[name].size))
         entries.setdefault("input.ir", set()).add(pick.randint(ir.size))
-        err, name = _check_entries(loss_fn, tensors, {k: sorted(v) for k, v in entries.items()}, worst.tolerance)
-        if err > worst.max_err:
-            worst.max_err, worst.worst = err, name
-    return worst
+        return loss_fn, tensors, entries, ""
+
+    return _worst_trial("end_to_end", COMPOSED_TOLERANCE, seed, trials, "e2e", case)
 
 
 def run_suite(seed: int = 0, trials: int = 20) -> list[BlockResult]:

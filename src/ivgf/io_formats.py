@@ -124,12 +124,6 @@ def encode_pnm(image: Tensor | np.ndarray) -> bytes:
     return header + payload
 
 
-def write_pnm(image, path) -> None:
-    data = encode_pnm(image)
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
 def encode_pgm_labels(ids: np.ndarray) -> bytes:
     """Serialize an [H,W] integer label map as raw P5 gray levels (0..255)."""
     ids = np.asarray(ids)
@@ -139,12 +133,6 @@ def encode_pgm_labels(ids: np.ndarray) -> bytes:
         raise ValueError("label ids must fit in one byte")
     h, w = ids.shape
     return b"P5\n%d %d\n255\n" % (w, h) + ids.astype(np.uint8).tobytes()
-
-
-def write_pgm_labels(ids: np.ndarray, path) -> None:
-    data = encode_pgm_labels(ids)
-    with open(path, "wb") as fh:
-        fh.write(data)
 
 
 def read_pgm_labels(path) -> np.ndarray:

@@ -23,10 +23,6 @@ from .errors import DimensionError
 
 _seq_counter = itertools.count()
 
-# Test hook: when set to an op name, backward negates that op's parent
-# gradients, simulating a sign bug the gradcheck harness must catch.
-FAULT_SIGN_OP = None
-
 # False inside no_grad(): _node then records nothing for backward.
 _grad_enabled = True
 
@@ -517,10 +513,7 @@ def backward(loss: Tensor, wrt, out=None) -> list:
         g = grads.get(node) if node in keep else grads.pop(node, None)
         if g is None or node._backward_fn is None:
             continue
-        parent_grads = node._backward_fn(g)
-        if FAULT_SIGN_OP is not None and node.op == FAULT_SIGN_OP:
-            parent_grads = tuple(None if pg is None else -pg for pg in parent_grads)
-        for parent, pg in zip(node._parents, parent_grads):
+        for parent, pg in zip(node._parents, node._backward_fn(g)):
             if pg is not None and parent.requires_grad:
                 accumulate(parent, pg)
     for t, sink in sinks.items():

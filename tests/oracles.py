@@ -3,13 +3,16 @@
 These stay deliberately independent of the package kernels: plain numpy
 arrays in, plain arrays out, no calls into the tape. They exist so that
 every production code path can be compared against a second, dumber
-derivation of the same math.
+derivation of the same math. The one exception, inject_sign_fault, breaks
+a kernel's backward on purpose, so tests can show the gradient checks
+notice.
 """
 
 import math
 
 import numpy as np
 
+from ivgf import pipeline, tensor
 from ivgf.tensor import finite_diff_pair
 
 
@@ -254,3 +257,25 @@ def finite_diff_grad(f, x, eps=1e-5):
         f_plus, f_minus = finite_diff_pair(f, x, i, eps)
         grad[i] = (f_plus - f_minus) / (2.0 * eps)
     return grad.reshape(x.shape)
+
+
+def inject_sign_fault(monkeypatch, op):
+    """Make every `op` node built under this patch negate its parent gradients.
+
+    This simulates a sign bug in one kernel's backward, which the gradient
+    checks must catch. It wraps `_node` where kernels look it up: in tensor,
+    and in pipeline, which imports it by name for cross_entropy.
+    """
+    make_node = tensor._node
+
+    def faulty_node(data, node_op, parents, backward_fn):
+        if node_op == op and backward_fn is not None:
+            correct = backward_fn
+
+            def backward_fn(g):
+                return tuple(None if pg is None else -pg for pg in correct(g))
+
+        return make_node(data, node_op, parents, backward_fn)
+
+    for module in (tensor, pipeline):
+        monkeypatch.setattr(module, "_node", faulty_node)

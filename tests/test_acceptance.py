@@ -351,7 +351,7 @@ def test_criterion_8_format_round_trips(tmp_path):
     bad_img = tmp_path / "bad.ppm"
     bad_img.write_bytes(b"P9\n2 2\n255\n" + bytes(12))
     good = tmp_path / "good.ppm"
-    io_formats.write_pnm(np.zeros((3, 32, 32)), good)
+    good.write_bytes(io_formats.encode_pnm(np.zeros((3, 32, 32))))
     code_img = cli.main(["forward", "--ir", str(bad_img), "--vis", str(good),
                          "--out-dir", str(tmp_path / "o1")])
     truncated = tmp_path / "trunc.ckpt"

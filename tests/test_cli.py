@@ -1,14 +1,17 @@
 """CLI contract: exit codes, output files, metadata, seed precedence."""
 
+import ast
 import os
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ivgf import cli, io_formats, pipeline
 from ivgf.rng import RngState
+from oracles import inject_sign_fault
 
 SMALL_CFG = """
 backbone.base_width = 8
@@ -32,8 +35,8 @@ def image_pair(tmp_path):
     rng = np.random.default_rng(0)
     ir = tmp_path / "ir.ppm"
     vis = tmp_path / "vis.ppm"
-    io_formats.write_pnm(rng.uniform(0, 1, (3, 32, 32)), ir)
-    io_formats.write_pnm(rng.uniform(0, 1, (3, 32, 32)), vis)
+    ir.write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 32, 32))))
+    vis.write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 32, 32))))
     return str(ir), str(vis)
 
 
@@ -90,8 +93,8 @@ class TestForward:
         rng = np.random.default_rng(1)
         ir = tmp_path / "odd_ir.ppm"
         vis = tmp_path / "odd_vis.ppm"
-        io_formats.write_pnm(rng.uniform(0, 1, (3, 40, 40)), ir)
-        io_formats.write_pnm(rng.uniform(0, 1, (3, 40, 40)), vis)
+        ir.write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 40, 40))))
+        vis.write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 40, 40))))
         out = tmp_path / "o"
         code = cli.main(["forward", "--config", small_config, "--ir", str(ir), "--vis", str(vis),
                          "--out-dir", str(out)])
@@ -119,8 +122,11 @@ class TestForward:
 
 
 class TestGradcheckCommand:
-    def test_trials_zero_is_exit_2(self):
-        assert cli.main(["gradcheck", "--trials", "0"]) == 2
+    def test_trials_zero_is_exit_2(self, capsys):
+        for trials in ("0", "-1"):
+            assert cli.main(["gradcheck", "--trials", trials]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and len(err.strip().splitlines()) == 1 and "--trials" in err
 
     def test_single_trial_passes(self, capsys):
         assert cli.main(["gradcheck", "--trials", "1", "--seed", "5"]) == 0
@@ -129,22 +135,20 @@ class TestGradcheckCommand:
             assert block in out
 
     def test_injected_sign_error_is_caught_and_named(self, capsys, monkeypatch):
-        from ivgf import tensor
-
         for op, blocks in (("sigmoid", ("fem", "tem", "agf")), ("attention", ("agf",))):
-            monkeypatch.setenv("IVGF_FAULT_INJECT", op)
-            assert cli.main(["gradcheck", "--trials", "1", "--seed", "5"]) == 1, op
+            with monkeypatch.context() as patch:
+                inject_sign_fault(patch, op)
+                assert cli.main(["gradcheck", "--trials", "1", "--seed", "5"]) == 1, op
             err = capsys.readouterr().err
             assert any(block in err for block in blocks), (op, err)
-            assert tensor.FAULT_SIGN_OP is None  # hook cleared afterwards
 
     @pytest.mark.parametrize("seed", [0, 17, 23])
     def test_agf_block_sees_an_attention_fault(self, seed, monkeypatch):
         # at these suite seeds every merge_a ReLU input used to be <= 0, so no
         # gradient reached the attention and a sign fault there passed
-        from ivgf import gradcheck, tensor
+        from ivgf import gradcheck
 
-        monkeypatch.setattr(tensor, "FAULT_SIGN_OP", "attention")
+        inject_sign_fault(monkeypatch, "attention")
         assert not gradcheck.check_agf(seed, 1).ok
 
     def test_relu_kink_inside_the_step_is_not_a_violation(self, capsys):
@@ -203,6 +207,32 @@ class TestTrainEval:
         assert cli.main(["train-toy", "--config", small_config, "--steps", "1", "--out-dir", str(out),
                          "--out-ckpt", str(out / "x.ckpt")]) == 0
         assert (out / "x.ckpt").exists() and not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "out_dir, out_ckpt",
+        [("o", "existing"), ("o", "o"), ("o/sub", "o")],
+        ids=["an-existing-dir", "the-out-dir", "a-parent-of-the-out-dir"],
+    )
+    def test_checkpoint_path_that_is_a_directory_is_exit_3_and_leaves_no_results_dir(
+        self, tmp_path, small_config, capsys, out_dir, out_ckpt
+    ):
+        (tmp_path / "existing").mkdir()
+        code = cli.main(["train-toy", "--config", small_config, "--steps", "1",
+                         "--out-dir", str(tmp_path / out_dir), "--out-ckpt", str(tmp_path / out_ckpt)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "is a directory" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("steps", ["-1", "0"])
+    def test_train_toy_non_positive_steps_is_exit_2_and_leaves_no_results_dir(
+        self, tmp_path, small_config, capsys, steps
+    ):
+        out = tmp_path / "o"
+        assert cli.main(["train-toy", "--config", small_config, "--steps", steps, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "--steps" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("count", ["-1", "0"])
     def test_make_data_non_positive_count_is_exit_2_and_leaves_no_results_dir(
@@ -264,8 +294,8 @@ class TestAugmentCommand:
         rng = np.random.default_rng(3)
         ir = tmp_path / "tiny_ir.ppm"
         vis = tmp_path / "tiny_vis.ppm"
-        io_formats.write_pnm(rng.uniform(0, 1, (3, 2, 2)), ir)
-        io_formats.write_pnm(rng.uniform(0, 1, (3, 2, 2)), vis)
+        ir.write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 2, 2))))
+        vis.write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 2, 2))))
         out = tmp_path / "aug"
         code = cli.main(["augment", "--config", small_config, "--ir", str(ir), "--vis", str(vis),
                          "--seed", "3", "--out-dir", str(out)])
@@ -277,8 +307,8 @@ class TestAugmentCommand:
         rng = np.random.default_rng(5)
         ir = tmp_path / "ir32.ppm"
         vis = tmp_path / "vis64.ppm"
-        io_formats.write_pnm(rng.uniform(0, 1, (3, 32, 32)), ir)
-        io_formats.write_pnm(rng.uniform(0, 1, (3, 64, 64)), vis)
+        ir.write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 32, 32))))
+        vis.write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 64, 64))))
         out = tmp_path / "aug"
         code = cli.main(["augment", "--config", small_config, "--ir", str(ir), "--vis", str(vis),
                          "--seed", "3", "--out-dir", str(out)])
@@ -321,6 +351,40 @@ class TestSeedPrecedence:
                          "--out-dir", str(tmp_path / "o")])
         assert code == 2
 
+    def test_ivgf_seed_is_the_only_environment_variable_read(self):
+        found = _environment_keys('os.environ.get("A"); os.getenv("B"); os.environ["C"]; "D" in os.environ')
+        assert sorted(found) == ["A", "B", "C", "D"]
+        assert _environment_keys("dict(os.environ); os.environ.get(name)") == [None, None]
+        sources = sorted(Path(cli.__file__).parent.glob("*.py"))
+        keys = [key for path in sources for key in _environment_keys(path.read_text(encoding="utf-8"))]
+        assert keys and set(keys) == {"IVGF_SEED"}, keys
+
+
+_ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_keys(source):
+    """The key of every use of os.environ or os.getenv in source; None where it is not a constant."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    keys = []
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name not in _ENVIRONMENT_NAMES:
+            continue
+        up = parents[node]
+        if isinstance(up, ast.Attribute) and up.attr == "get":  # os.environ.get(key)
+            up = parents[up]
+        key = None
+        if isinstance(up, ast.Call) and up.args:
+            key = up.args[0]
+        elif isinstance(up, ast.Subscript):
+            key = up.slice
+        elif isinstance(up, ast.Compare):
+            key = up.left
+        keys.append(key.value if isinstance(key, ast.Constant) else None)
+    return keys
+
 
 def _train_exploding(tmp_path, lr, steps):
     cfg = tmp_path / "explode.cfg"
@@ -353,9 +417,9 @@ def test_eval_rejects_mask_with_oversized_labels(tmp_path, small_config):
     rng = np.random.default_rng(2)
     data = tmp_path / "data"
     data.mkdir()
-    io_formats.write_pnm(rng.uniform(0, 1, (3, 32, 32)), data / "s_ir.ppm")
-    io_formats.write_pnm(rng.uniform(0, 1, (3, 32, 32)), data / "s_vis.ppm")
-    io_formats.write_pgm_labels(np.full((32, 32), 9), data / "s_mask.pgm")
+    (data / "s_ir.ppm").write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 32, 32))))
+    (data / "s_vis.ppm").write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 32, 32))))
+    (data / "s_mask.pgm").write_bytes(io_formats.encode_pgm_labels(np.full((32, 32), 9)))
     ckpt = tmp_path / "m.ckpt"
     model = pipeline.build_model(io_formats.parse_config(SMALL_CFG), seed=0)
     ckpt.write_bytes(io_formats.encode_checkpoint(model.store))
@@ -370,9 +434,9 @@ def test_eval_with_every_pixel_ignored_is_exit_3(tmp_path, small_config, capsys)
     data = tmp_path / "data"
     data.mkdir()
     for stem in ("a", "b"):
-        io_formats.write_pnm(rng.uniform(0, 1, (3, 32, 32)), data / f"{stem}_ir.ppm")
-        io_formats.write_pnm(rng.uniform(0, 1, (3, 32, 32)), data / f"{stem}_vis.ppm")
-        io_formats.write_pgm_labels(np.full((32, 32), pipeline.IGNORE_LABEL), data / f"{stem}_mask.pgm")
+        (data / f"{stem}_ir.ppm").write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 32, 32))))
+        (data / f"{stem}_vis.ppm").write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 32, 32))))
+        (data / f"{stem}_mask.pgm").write_bytes(io_formats.encode_pgm_labels(np.full((32, 32), pipeline.IGNORE_LABEL)))
     ckpt = tmp_path / "m.ckpt"
     model = pipeline.build_model(io_formats.parse_config(SMALL_CFG), seed=0)
     ckpt.write_bytes(io_formats.encode_checkpoint(model.store))

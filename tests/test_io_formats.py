@@ -12,13 +12,12 @@ from ivgf.io_formats import (
     Config,
     decode_checkpoint,
     encode_checkpoint,
+    encode_pgm_labels,
     encode_pnm,
     load_checkpoint,
     parse_config,
     read_pgm_labels,
     read_pnm,
-    write_pgm_labels,
-    write_pnm,
 )
 from ivgf.params import ParamStore
 from ivgf.tensor import Tensor
@@ -95,7 +94,7 @@ class TestWritePnm:
     def test_label_round_trip(self, tmp_path):
         ids = np.array([[0, 1], [255, 3]])
         path = tmp_path / "mask.pgm"
-        write_pgm_labels(ids, path)
+        path.write_bytes(encode_pgm_labels(ids))
         assert np.array_equal(read_pgm_labels(path), ids)
 
 
