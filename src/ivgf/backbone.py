@@ -11,6 +11,7 @@ follow (w, 2w, 4w, 8w) for the configured base width.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,9 +149,9 @@ def build_backbone(store: P.ParamStore, rng: RngState, cfg: Config) -> BackboneP
     )
 
 
-def _self_attention_block(rows: Tensor, layer: AttnLayer, heads: int) -> Tensor:
+def _self_attention_block(rows: Tensor, layer: AttnLayer, heads: int, items: int) -> Tensor:
     normed = layer_norm(rows, layer.ln1_gamma, layer.ln1_beta)
-    attended = fusion.multi_head_attention(normed, normed, layer.proj, heads)
+    attended = fusion.multi_head_attention(normed, normed, layer.proj, heads, items)
     rows = rows + linear(attended, layer.out_w, layer.out_b)
     normed = layer_norm(rows, layer.ln2_gamma, layer.ln2_beta)
     return rows + linear(relu(linear(normed, layer.mlp1_w, layer.mlp1_b)), layer.mlp2_w, layer.mlp2_b)
@@ -171,9 +172,10 @@ def _fuse(bb: BackboneParams, scale_idx: int, fx: Tensor, fy: Tensor) -> Tensor:
 def encoder_forward(x_img: Tensor, y_img: Tensor, bb: BackboneParams) -> MultiScaleFeatures:
     if x_img.shape != y_img.shape:
         raise DimensionError(f"modality image shapes differ: {x_img.shape} vs {y_img.shape}")
-    if x_img.ndim != 3 or x_img.shape[0] != 3:
-        raise DimensionError(f"expected [3,H,W] images, got shape {x_img.shape}")
-    _, h, w = x_img.shape
+    if x_img.ndim not in (3, 4) or x_img.shape[-3] != 3:
+        raise DimensionError(f"expected [3,H,W] images or [B,3,H,W] stacks, got shape {x_img.shape}")
+    lead, (h, w) = x_img.shape[:-3], x_img.shape[-2:]
+    items = math.prod(lead)
     if h % 32 or w % 32:
         raise ConfigError(f"input size {h}x{w} must be divisible by 32")
 
@@ -192,14 +194,14 @@ def encoder_forward(x_img: Tensor, y_img: Tensor, bb: BackboneParams) -> MultiSc
         return conv2d(fmap, br.embed.w, br.embed.b, stride=2, padding=1)
 
     ex, ey = embed(f2x, bb.x), embed(f2y, bb.y)
-    _, h3, w3 = ex.shape
-    tx, ty = tokens(ex), tokens(ey)
+    h3, w3 = ex.shape[-2:]
+    tx, ty = tokens(ex), tokens(ey)  # [B*H3*W3, C] rows: the blocks and TEM are row-wise
     for i in range(bb.depth):
-        tx = _self_attention_block(tx, bb.x.layers[i], bb.heads)
-        ty = _self_attention_block(ty, bb.y.layers[i], bb.heads)
+        tx = _self_attention_block(tx, bb.x.layers[i], bb.heads, items)
+        ty = _self_attention_block(ty, bb.y.layers[i], bb.heads, items)
         if bb.tem_enabled and (i + 1) in TEM_LAYERS:
             tx, ty = fusion.tem_forward(tx, ty, bb.tem)
-    f3x, f3y = _enhance(bb, 2, feature_map(tx, h3, w3), feature_map(ty, h3, w3))
+    f3x, f3y = _enhance(bb, 2, feature_map(tx, h3, w3, lead), feature_map(ty, h3, w3, lead))
 
     f4x = conv2d(f3x, bb.x.stage4.w, bb.x.stage4.b, stride=2, padding=1)
     f4y = conv2d(f3y, bb.y.stage4.w, bb.y.stage4.b, stride=2, padding=1)

@@ -183,6 +183,9 @@ def cmd_train_toy(args) -> int:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     out_dir = Path(args.out_dir)
     ckpt_path = Path(args.out_ckpt) if args.out_ckpt else out_dir / "model.ckpt"
+    for name in ("loss_curve.csv", "run_metadata.txt"):
+        if ckpt_path.resolve() == (out_dir / name).resolve():
+            raise ConfigError(f"--out-ckpt {ckpt_path} would overwrite the run's own {name}")
     if ckpt_path.parent != out_dir and not ckpt_path.parent.is_dir():
         raise FileNotFoundError(f"checkpoint directory not found: {ckpt_path.parent}")
     # out_dir and its parents will be directories once the results are written

@@ -12,6 +12,7 @@ through the tape in `tensor`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import params as P
@@ -218,13 +219,13 @@ def cross_spatial_integration(fx: Tensor, fy: Tensor, px: ConvPair, py: ConvPair
 
 
 def channel_attention(f: Tensor, pair: LinearPair) -> Tensor:
-    """Per-channel weights [C,1,1] from pooled avg/max descriptors."""
-    c = f.shape[0]
+    """Per-channel weights [C,1,1] from pooled avg/max descriptors; [B,C,1,1] for a stack."""
+    c = f.shape[-3]
     f_avg = adaptive_pool(f, "avg", (1, 1))
     f_max = adaptive_pool(f, "max", (1, 1))
-    desc = reshape(concat([f_avg, f_max], axis=0), (1, 2 * c))
+    desc = reshape(concat([f_avg, f_max], axis=-3), (-1, 2 * c))  # one row per item
     w = sigmoid(linear(relu(linear(desc, pair.w1, pair.b1)), pair.w2, pair.b2))
-    return reshape(w, (c, 1, 1))
+    return reshape(w, f.shape[:-3] + (c, 1, 1))
 
 
 def fem_forward(fx: Tensor, fy: Tensor, fem: FemParams):
@@ -280,26 +281,31 @@ def tem_forward(tx: Tensor, ty: Tensor, tem: TemParams):
 # -- attention-guided fusion ---------------------------------------------------
 
 
-def multi_head_attention(tq: Tensor, tkv: Tensor, proj: AttnProj, heads: int) -> Tensor:
-    """softmax(Q K^T / sqrt(d_k)) V per head over token matrices [N,C]/[M,C]."""
+def multi_head_attention(tq: Tensor, tkv: Tensor, proj: AttnProj, heads: int, items: int = 1) -> Tensor:
+    """softmax(Q K^T / sqrt(d_k)) V per head over token matrices [N,C]/[M,C].
+
+    With `items` = B, the rows hold B scenes' tokens one after another and
+    each scene attends only to its own.
+    """
     c = tq.shape[1]
     if heads < 1 or c % heads != 0:
         raise ConfigError(f"attention heads {heads} must divide channel width {c}")
     q = linear(tq, proj.q_w, proj.q_b)
     k = linear(tkv, proj.k_w, proj.k_b)
     v = linear(tkv, proj.v_w, proj.v_b)
-    return attention(q, k, v, heads)
+    return attention(q, k, v, heads, items)
 
 
 def agf_forward(fx: Tensor, fy: Tensor, agf: AgfParams) -> Tensor:
     if fx.shape != fy.shape:
         raise DimensionError(f"modality shapes differ: {fx.shape} vs {fy.shape}")
-    _, h, w = fx.shape
+    lead, (h, w) = fx.shape[:-3], fx.shape[-2:]
+    items = math.prod(lead)
     # one tokens node per use: both directions sharing one node would sum
     # their gradients in another order
-    a_xy = multi_head_attention(tokens(fx), tokens(fy), agf.xy, agf.heads)  # [HW, C]
-    a_yx = multi_head_attention(tokens(fy), tokens(fx), agf.yx, agf.heads)
-    stacked = concat([feature_map(a_xy, h, w), feature_map(a_yx, h, w)], axis=0)  # [2C, H, W]
+    a_xy = multi_head_attention(tokens(fx), tokens(fy), agf.xy, agf.heads, items)  # [B*HW, C]
+    a_yx = multi_head_attention(tokens(fy), tokens(fx), agf.yx, agf.heads, items)
+    stacked = concat([feature_map(a_xy, h, w, lead), feature_map(a_yx, h, w, lead)], axis=-3)  # [.., 2C, H, W]
     merged = relu(conv2d(stacked, agf.merge_a_w, agf.merge_a_b))
     merged = conv2d(merged, agf.merge_b_w, agf.merge_b_b)
     return conv2d(merged, agf.merge_c_w, agf.merge_c_b, padding=1)

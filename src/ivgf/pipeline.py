@@ -15,7 +15,7 @@ import numpy as np
 
 from . import augment, backbone
 from . import params as P
-from .errors import DetachedParameterError, DimensionError, NonFiniteError
+from .errors import DetachedParameterError, DimensionError, FormatError, NonFiniteError
 from .io_formats import Config
 from .rng import RngState
 from .tensor import (
@@ -80,31 +80,49 @@ def seg_forward(feats: backbone.MultiScaleFeatures, head: SegHead) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, mask: np.ndarray, ignore: int = IGNORE_LABEL) -> Tensor:
-    """Mean over non-ignored pixels of -log softmax at the true class."""
-    k = logits.shape[0]
-    mask = np.asarray(mask)
-    if logits.ndim != 3 or mask.shape != logits.shape[1:]:
-        raise DimensionError(f"mask shape {mask.shape} does not match logits {logits.shape}")
-    valid = mask != ignore
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ValueError("cross_entropy undefined: every pixel carries the ignore label")
-    targets = mask[valid]
-    if targets.min() < 0 or targets.max() >= k:
-        raise ValueError(f"mask ids must be in [0,{k}) or {ignore}, got {int(targets.max())}")
+    """Mean over non-ignored pixels of -log softmax at the true class.
 
-    cols = logits.data.reshape(k, -1)[:, valid.reshape(-1)]  # [K, n_valid]
+    [B,K,H,W] logits with [B,H,W] masks give the mean over the B items of
+    each item's own mean, ((l_0 + l_1) + ...) / B; [K,H,W] logits with an
+    [H,W] mask are the B = 1 case.
+    """
+    mask = np.asarray(mask)
+    if logits.ndim not in (3, 4) or mask.shape != logits.shape[:-3] + logits.shape[-2:]:
+        raise DimensionError(f"mask shape {mask.shape} does not match logits {logits.shape}")
+    k = logits.shape[-3]
+    masks = mask.reshape(-1, mask.shape[-2] * mask.shape[-1])  # [B, H*W]
+    b = masks.shape[0]
+    valid = masks != ignore
+    counts = valid.sum(axis=1)
+    for item, ids in enumerate(masks):
+        if counts[item] == 0:
+            raise FormatError(f"cross_entropy undefined for batch item {item}: every pixel carries the ignore label")
+        bad = ids[valid[item] & ((ids < 0) | (ids >= k))]
+        if bad.size:
+            raise FormatError(f"batch item {item}: mask ids must be in [0,{k}) or {ignore}, got {int(bad[0])}")
+    keep = valid.reshape(-1)
+    targets = masks.reshape(-1)[keep]
+    n_valid = targets.size
+
+    # [K, n_valid], item by item in batch order
+    cols = logits.data.reshape(b, k, -1).transpose(1, 0, 2).reshape(k, -1)[:, keep]
     z = cols - cols.max(axis=0, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=0, keepdims=True))
-    loss = -logp[targets, np.arange(n_valid)].mean()
+    picked = logp[targets, np.arange(n_valid)]
+    ends = np.cumsum(counts)
+    loss = -picked[: ends[0]].mean()
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        loss = loss + -picked[lo:hi].mean()
+    loss = loss * (1.0 / b)
 
     def back(g):
-        scale = float(g.reshape(())) / n_valid
+        scale = float(g.reshape(())) * (1.0 / b) / counts  # per item
         grad_cols = np.exp(logp)
         grad_cols[targets, np.arange(n_valid)] -= 1.0
-        grad = np.zeros_like(logits.data).reshape(k, -1)
-        grad[:, valid.reshape(-1)] = grad_cols * scale
-        return (grad.reshape(logits.shape),)
+        grad_cols *= np.repeat(scale, counts)
+        grad = np.zeros((k, keep.size))
+        grad[:, keep] = grad_cols
+        return (np.ascontiguousarray(grad.reshape(k, b, -1).transpose(1, 0, 2)).reshape(logits.shape),)
 
     return _node(np.asarray(loss), "cross_entropy", (logits,), back)
 
@@ -315,19 +333,26 @@ def _first_non_finite(loss: Tensor) -> str:
 
 
 def train_step(model: Model, batch, optimizer: AdamW, aug_cfg, aug_rng: RngState) -> float:
-    """One optimizer update over a batch of scenes; returns the batch loss."""
-    losses = []
+    """One optimizer update over a batch of scenes; returns the batch loss.
+
+    The augmented scenes run as one [B,3,H,W] stack: one graph, one loss
+    (the mean of the per-scene losses) and one backward pass.
+    """
+    irs, viss = [], []
     for slot, scene in enumerate(batch):
         ir, vis = scene.images
         if aug_cfg is not None and aug_cfg.enabled:
             ir, vis, _ = augment.cma_apply(ir, vis, aug_cfg, aug_rng.derive(slot))
-        losses.append(cross_entropy(model_forward(model, ir, vis)[1], scene.mask))
-    loss = losses[0] if len(losses) == 1 else sum(losses[1:], start=losses[0]) / len(losses)
+        irs.append(ir.data)
+        viss.append(vis.data)
+    logits = model_forward(model, Tensor(np.stack(irs)), Tensor(np.stack(viss)))[1]
+    loss = cross_entropy(logits, np.stack([scene.mask for scene in batch]))
+    del logits  # the loss alone holds the tape
     value = loss.item()
     if not np.isfinite(value):
         raise NonFiniteError(f"training loss went non-finite; first bad tensor: {_first_non_finite(loss)}")
     grads = named_gradients(loss, dict(model.store.items()), out=optimizer.grads)
-    del loss, losses  # release the tape before the optimizer step
+    del loss  # release the tape before the optimizer step
     optimizer.step(grads)
     return value
 

@@ -14,6 +14,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -174,27 +175,39 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def tokens(fmap: Tensor) -> Tensor:
-    """A [C,H,W] feature map as C-contiguous [H*W, C] token rows, in row-major position order."""
-    if fmap.ndim != 3:
-        raise DimensionError(f"tokens expects a [C,H,W] map, got shape {fmap.shape}")
-    c, h, w = fmap.shape
+    """A [C,H,W] map as C-contiguous [H*W, C] token rows, in row-major position order.
+
+    A [B,C,H,W] stack gives [B*H*W, C]: item b owns rows [b*H*W, (b+1)*H*W).
+    """
+    shape = fmap.data.shape
+    if len(shape) not in (3, 4):
+        raise DimensionError(f"tokens expects a [C,H,W] or [B,C,H,W] map, got shape {shape}")
+    c, h, w = shape[-3:]
 
     def back(g):
-        return (np.ascontiguousarray(g.T).reshape(c, h, w),)
+        return (np.ascontiguousarray(g.reshape(-1, h * w, c).transpose(0, 2, 1)).reshape(shape),)
 
-    return _node(np.ascontiguousarray(fmap.data.reshape(c, h * w).T), "tokens", (fmap,), back)
+    rows = np.ascontiguousarray(fmap.data.reshape(-1, c, h * w).transpose(0, 2, 1)).reshape(-1, c)
+    return _node(rows, "tokens", (fmap,), back)
 
 
-def feature_map(rows: Tensor, h: int, w: int) -> Tensor:
-    """[H*W, C] token rows back to a C-contiguous [C,H,W] map; the inverse of `tokens`."""
-    if rows.ndim != 2 or rows.shape[0] != h * w:
-        raise DimensionError(f"feature_map expects [{h}*{w}, C] tokens, got shape {rows.shape}")
-    c = rows.shape[1]
+def feature_map(rows: Tensor, h: int, w: int, lead=()) -> Tensor:
+    """[H*W, C] token rows back to a C-contiguous [C,H,W] map; the inverse of `tokens`.
+
+    With `lead` = (B,), [B*H*W, C] rows give a [B,C,H,W] stack.
+    """
+    lead = tuple(lead)
+    items = math.prod(lead)
+    shape = rows.data.shape
+    if len(shape) != 2 or shape[0] != items * h * w:
+        raise DimensionError(f"feature_map expects [{items}*{h}*{w}, C] tokens, got shape {shape}")
+    c = shape[1]
 
     def back(g):
-        return (np.ascontiguousarray(g.reshape(c, h * w).T),)
+        return (np.ascontiguousarray(g.reshape(items, c, h * w).transpose(0, 2, 1)).reshape(-1, c),)
 
-    return _node(np.ascontiguousarray(rows.data.T).reshape(c, h, w), "feature_map", (rows,), back)
+    stack = rows.data.reshape(items, h * w, c).transpose(0, 2, 1)
+    return _node(np.ascontiguousarray(stack).reshape(lead + (c, h, w)), "feature_map", (rows,), back)
 
 
 def concat(parts, axis: int) -> Tensor:
@@ -231,16 +244,16 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
-    """Integer-factor nearest-neighbor upsampling of a [C,H,W] map."""
-    if x.ndim != 3:
-        raise DimensionError(f"upsample_nearest expects [C,H,W], got shape {x.shape}")
+    """Integer-factor nearest-neighbor upsampling of a [C,H,W] map or a [B,C,H,W] stack."""
+    if x.ndim not in (3, 4):
+        raise DimensionError(f"upsample_nearest expects [C,H,W] or [B,C,H,W], got shape {x.shape}")
     if factor < 1:
         raise DimensionError(f"upsample factor must be >= 1, got {factor}")
-    c, h, w = x.shape
-    out = np.repeat(np.repeat(x.data, factor, axis=1), factor, axis=2)
+    h, w = x.shape[-2:]
+    out = np.repeat(np.repeat(x.data, factor, axis=-2), factor, axis=-1)
 
     def back(g):
-        return (g.reshape(c, h, factor, w, factor).sum(axis=(2, 4)),)
+        return (g.reshape(x.shape[:-2] + (h, factor, w, factor)).sum(axis=(-3, -1)),)
 
     return _node(out, "upsample_nearest", (x,), back)
 
@@ -268,51 +281,60 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution of a [C,H,W] map with [C_out,C_in,k,k] weights, zero padding."""
-    if x.ndim != 3:
-        raise DimensionError(f"conv2d expects input [C,H,W], got shape {x.shape}")
-    c_out, c_in, kh, kw = weight.shape
+    """2-d convolution of a [C,H,W] map or a [B,C,H,W] stack with [C_out,C_in,k,k] weights, zero padding.
+
+    A [C,H,W] map runs as the B = 1 stack. The B items share one im2col
+    matrix [C_in*k*k, B*H_out*W_out] and one weight matmul.
+    """
+    shape = x.data.shape
+    if len(shape) not in (3, 4):
+        raise DimensionError(f"conv2d expects input [C,H,W] or [B,C,H,W], got shape {shape}")
+    c_out, c_in, kh, kw = weight.data.shape
     if kh != kw or kh not in (1, 3):
         raise DimensionError(f"conv2d supports square 1x1 or 3x3 kernels, got {kh}x{kw}")
-    if x.shape[0] != c_in:
+    if shape[-3] != c_in:
         raise DimensionError(
-            f"conv2d: weight expects {c_in} input channels, input has {x.shape[0]}"
+            f"conv2d: weight expects {c_in} input channels, input has {shape[-3]}"
         )
-    if bias.shape != (c_out,):
-        raise DimensionError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
+    if bias.data.shape != (c_out,):
+        raise DimensionError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
     if stride < 1:
         raise DimensionError(f"conv2d stride must be >= 1, got {stride}")
-    _, h, w = x.shape
+    h, w = shape[-2:]
     k = kh
     if h + 2 * padding < k or w + 2 * padding < k:
         raise DimensionError(f"conv2d: padded input {h}x{w} (pad {padding}) smaller than kernel {k}")
     h_out = (h + 2 * padding - k) // stride + 1
     w_out = (w + 2 * padding - k) // stride + 1
 
-    xp = x.data
+    xp = np.ascontiguousarray(x.data.reshape(-1, c_in, h, w))  # [B, C_in, H, W]
+    b = xp.shape[0]
     if padding:  # one zeroed buffer and a slice copy: np.pad costs far more per call
-        xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
-        xp[:, padding : padding + h, padding : padding + w] = x.data
+        xp, unpadded = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding)), xp
+        xp[:, :, padding : padding + h, padding : padding + w] = unpadded
 
-    # im2col: cols[c, di, dj, i, j] = padded[c, i*s + di, j*s + dj]
-    cols = np.empty((c_in, k, k, h_out, w_out))
-    for di in range(k):
-        for dj in range(k):
-            cols[:, di, dj] = xp[:, di : di + h_out * stride : stride, dj : dj + w_out * stride : stride]
-    cols2 = cols.reshape(c_in * k * k, h_out * w_out)
-    out = (weight.data.reshape(c_out, -1) @ cols2 + bias.data[:, None]).reshape(c_out, h_out, w_out)
+    # im2col as one copy of a strided view of xp:
+    # cols[c, di, dj, b, i, j] = padded[b, c, i*s + di, j*s + dj]
+    sb, sc, sh, sw = xp.strides
+    windows = np.ndarray((c_in, k, k, b, h_out, w_out), xp.dtype, xp, 0, (sc, sh, sw, sb, sh * stride, sw * stride))
+    cols2 = windows.copy().reshape(c_in * k * k, -1)
+    out = (weight.data.reshape(c_out, -1) @ cols2 + bias.data[:, None]).reshape(c_out, b, h_out, w_out)
+    out = np.ascontiguousarray(out.transpose(1, 0, 2, 3)).reshape(shape[:-3] + (c_out, h_out, w_out))
+    padded_shape = xp.shape
 
     def back(g):
-        g2 = g.reshape(c_out, -1)
-        gw = (g2 @ cols2.T).reshape(weight.shape)
+        g2 = np.ascontiguousarray(g.reshape(b, c_out, -1).transpose(1, 0, 2)).reshape(c_out, -1)
+        gw = (g2 @ cols2.T).reshape(weight.data.shape)
         gb = g2.sum(axis=1)
-        gcols = (weight.data.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, h_out, w_out)
-        gxp = np.zeros_like(xp)
+        gcols = (weight.data.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, b, h_out, w_out)
+        gxp = np.zeros(padded_shape)
         for di in range(k):
             for dj in range(k):
-                gxp[:, di : di + h_out * stride : stride, dj : dj + w_out * stride : stride] += gcols[:, di, dj]
-        gx = gxp[:, padding : padding + h, padding : padding + w] if padding else gxp
-        return np.ascontiguousarray(gx), gw, gb
+                gxp[:, :, di : di + h_out * stride : stride, dj : dj + w_out * stride : stride] += (
+                    gcols[:, di, dj].transpose(1, 0, 2, 3)
+                )
+        gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
+        return np.ascontiguousarray(gx).reshape(shape), gw, gb
 
     return _node(out, "conv2d", (x, weight, bias), back)
 
@@ -355,45 +377,54 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _node(s, "softmax_rows", (x,), back)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, items: int = 1) -> Tensor:
     """Multi-head softmax(Q K^T / sqrt(d)) V for queries [N,C] and keys/values [M,C].
 
-    Head h owns columns [h*d, (h+1)*d) with d = C/heads. The heads run as
-    contiguous [h, rows, d] stacks through batched matmuls and the
-    softmax_rows expressions along the last axis, so each head computes
-    exactly what a per-head 2-d loop would. Gradients come back
+    Head h owns columns [h*d, (h+1)*d) with d = C/heads. With `items` = B,
+    q holds B blocks of N rows and k, v B blocks of M rows, and block b
+    attends only within itself. The (item, head) pairs run as contiguous
+    [B, heads, rows, d] stacks through batched matmuls and the softmax_rows
+    expressions along the last axis, computed in place, so each head
+    computes exactly what a per-head 2-d loop would. Gradients come back
     C-contiguous: numpy sums an F-ordered array in another order, which
     would change the bias gradients of the linear layers feeding q, k, v.
     """
-    if q.ndim != 2 or k.ndim != 2 or v.shape != k.shape or q.shape[1] != k.shape[1]:
+    qs, ks = q.data.shape, k.data.shape
+    if len(qs) != 2 or len(ks) != 2 or v.data.shape != ks or qs[1] != ks[1]:
         raise DimensionError(
-            f"attention expects q [N,C] and k, v [M,C], got {q.shape}, {k.shape}, {v.shape}"
+            f"attention expects q [N,C] and k, v [M,C], got {qs}, {ks}, {v.data.shape}"
         )
-    (n, c), m = q.shape, k.shape[0]
+    c = qs[1]
     if heads < 1 or c % heads != 0:
         raise DimensionError(f"attention heads {heads} must divide channel width {c}")
+    if items < 1 or qs[0] % items or ks[0] % items:
+        raise DimensionError(f"attention: {items} items must divide the rows of q {qs} and k {ks}")
+    n, m = qs[0] // items, ks[0] // items
     d = c // heads
     scale = 1.0 / (d**0.5)
 
-    def split(x, rows):  # [rows, C] -> [h, rows, d]
-        return np.ascontiguousarray(x.reshape(rows, heads, d).transpose(1, 0, 2))
+    def split(x, rows):  # [B*rows, C] -> [B, h, rows, d]
+        return np.ascontiguousarray(x.reshape(items, rows, heads, d).transpose(0, 2, 1, 3))
 
-    def merge(x, rows):  # [h, rows, d] -> C-contiguous [rows, C]
-        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(rows, c)
+    def merge(x, rows):  # [B, h, rows, d] -> C-contiguous [B*rows, C]
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(-1, c)
 
     qh, vh = split(q.data, n), split(v.data, m)
-    kt = np.ascontiguousarray(k.data.reshape(m, heads, d).transpose(1, 2, 0))  # [h, d, M]
-    z = (qh @ kt) * scale
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    kt = np.ascontiguousarray(k.data.reshape(items, m, heads, d).transpose(0, 2, 3, 1))  # [B, h, d, M]
+    s = qh @ kt  # scores, then the softmax in place: the same values as fresh arrays
+    s *= scale
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def back(g):
         go = split(g, n)
-        gs = go @ vh.transpose(0, 2, 1)
-        gz = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * scale
-        gk = (qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)  # (Q^T dZ)^T
-        return merge(gz @ kt.transpose(0, 2, 1), n), merge(gk, m), merge(s.transpose(0, 2, 1) @ go, m)
+        gz = go @ vh.swapaxes(-1, -2)
+        gz -= (gz * s).sum(axis=-1, keepdims=True)
+        gz *= s
+        gz *= scale
+        gk = (qh.swapaxes(-1, -2) @ gz).swapaxes(-1, -2)  # (Q^T dZ)^T
+        return merge(gz @ kt.swapaxes(-1, -2), n), merge(gk, m), merge(s.swapaxes(-1, -2) @ go, m)
 
     return _node(merge(s @ vh, n), "attention", (q, k, v), back)
 
@@ -405,19 +436,20 @@ def adaptive_pool(x: Tensor, mode: str, out_size) -> Tensor:
     """Pooling into equal bins: [C,H,W] -> [C,1,1] globally, or [N,C] -> [N,out] along rows.
 
     These are the poolings the model runs (FEM channel descriptors, TEM
-    prompts); for rows, out must divide C.
+    prompts); for rows, out must divide C. A [B,C,H,W] stack pools to
+    [B,C,1,1].
     """
     if mode not in ("avg", "max"):
         raise ValueError(f"adaptive_pool mode must be 'avg' or 'max', got {mode!r}")
-    if x.ndim == 3 and out_size == (1, 1):
-        rows, bins, op = x.data.reshape(x.shape[0], -1), 1, f"adaptive_{mode}_pool2d"
-        out_shape = (x.shape[0], 1, 1)
+    if x.ndim in (3, 4) and out_size == (1, 1):
+        rows, bins, op = x.data.reshape(-1, x.shape[-2] * x.shape[-1]), 1, f"adaptive_{mode}_pool2d"
+        out_shape = x.shape[:-2] + (1, 1)
     elif x.ndim == 2 and isinstance(out_size, int) and out_size >= 1 and x.shape[1] % out_size == 0:
         rows, bins, op = x.data, out_size, f"adaptive_{mode}_pool_rows"
         out_shape = (x.shape[0], bins)
     else:
         raise DimensionError(
-            f"adaptive_pool supports [C,H,W] -> (1, 1) and [N,C] -> out bins dividing C, "
+            f"adaptive_pool supports [C,H,W] or [B,C,H,W] -> (1, 1) and [N,C] -> out bins dividing C, "
             f"got shape {x.shape} -> {out_size!r}"
         )
     n, c = rows.shape

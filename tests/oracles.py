@@ -248,6 +248,80 @@ def agf_naive(fx, fy, agf):
     return conv2d_naive(merged, agf.merge_c_w.data, agf.merge_c_b.data, padding=1)
 
 
+# -- the batch axis: each single-item oracle looped over the items ---------------
+
+
+def conv2d_batch_naive(x, w, b, stride=1, padding=0):
+    return np.stack([conv2d_naive(item, w, b, stride, padding) for item in x])
+
+
+def tokens_batch_naive(stack):
+    """[B,C,H,W] -> [B*H*W, C]: item after item, positions in row-major order."""
+    return np.concatenate([tokens_naive(item) for item in stack])
+
+
+def feature_map_batch_naive(rows, items, h, w):
+    """[B*H*W, C] -> [B,C,H,W], the inverse of tokens_batch_naive."""
+    c = rows.shape[1]
+    out = np.zeros((items, c, h, w))
+    for b in range(items):
+        for i in range(h):
+            for j in range(w):
+                for ch in range(c):
+                    out[b, ch, i, j] = rows[(b * h + i) * w + j, ch]
+    return out
+
+
+def attention_items_naive(q, k, v, heads, items):
+    """Block b of q attends only to block b of k and v."""
+    n, m = q.shape[0] // items, k.shape[0] // items
+    return np.concatenate([
+        attention_naive(q[b * n : (b + 1) * n], k[b * m : (b + 1) * m], v[b * m : (b + 1) * m], heads)
+        for b in range(items)
+    ])
+
+
+def upsample_nearest_naive(x, factor):
+    """[..., H, W] -> [..., H*f, W*f] with out[..., i, j] = x[..., i // f, j // f]."""
+    lead, (h, w) = x.shape[:-2], x.shape[-2:]
+    flat = x.reshape(-1, h, w)
+    out = np.zeros((flat.shape[0], h * factor, w * factor))
+    for p in range(flat.shape[0]):
+        for i in range(h * factor):
+            for j in range(w * factor):
+                out[p, i, j] = flat[p, i // factor, j // factor]
+    return out.reshape(lead + (h * factor, w * factor))
+
+
+def adaptive_pool2d_batch_naive(x, mode):
+    """Global pooling of every item of a [B,C,H,W] stack to [B,C,1,1]."""
+    return np.stack([adaptive_pool2d_naive(item, mode, 1, 1) for item in x])
+
+
+def cross_entropy_naive(logits, mask, ignore=255):
+    """Mean over items of each item's mean of -log softmax at the true class over non-ignored pixels.
+
+    [K,H,W] logits with an [H,W] mask are one item.
+    """
+    if logits.ndim == 3:
+        logits, mask = logits[None], mask[None]
+    per_item = []
+    for item_logits, item_mask in zip(logits, mask):
+        k, h, w = item_logits.shape
+        total, count = 0.0, 0
+        for i in range(h):
+            for j in range(w):
+                t = int(item_mask[i, j])
+                if t == ignore:
+                    continue
+                m = max(item_logits[:, i, j])
+                log_sum = math.log(sum(math.exp(item_logits[c, i, j] - m) for c in range(k)))
+                total += -(item_logits[t, i, j] - m - log_sum)
+                count += 1
+        per_item.append(total / count)
+    return sum(per_item) / len(per_item)
+
+
 def finite_diff_grad(f, x, eps=1e-5):
     """Central differences of a scalar function f(x) of a Tensor x, element by element."""
     if eps <= 0:

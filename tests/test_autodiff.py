@@ -335,3 +335,61 @@ class TestKernelGradients:
         rng = np.random.default_rng(800 + trial)
         x = _leaf(rng, (2, 3, 3))
         _check(lambda: _proj_loss(np.random.default_rng(trial), upsample_nearest(x, 2)), {"x": x}, trial)
+
+
+BATCH_TRIALS = 5
+
+
+class TestBatchedKernelGradients:
+    """Central differences through the leading batch axis of each kernel that has one."""
+
+    @pytest.mark.parametrize("trial", range(BATCH_TRIALS))
+    def test_conv2d(self, trial):
+        rng = np.random.default_rng(1100 + trial)
+        stride, padding = 1 + trial % 2, trial % 2
+        k = (1, 3)[trial % 2] if trial < 4 else 3
+        x = _leaf(rng, (2, 2, 5, 5))
+        w = _leaf(rng, (3, 2, k, k))
+        b = _leaf(rng, 3)
+        _check(lambda: _proj_loss(np.random.default_rng(trial), conv2d(x, w, b, stride, padding)),
+               {"x": x, "w": w, "b": b}, trial)
+
+    @pytest.mark.parametrize("trial", range(BATCH_TRIALS))
+    def test_tokens_feature_map(self, trial):
+        rng = np.random.default_rng(1200 + trial)
+        items, c, h, w = 2 + trial % 2, 3, 1 + trial % 3, 2
+        fmap = _leaf(rng, (items, c, h, w))
+        rows = _leaf(rng, (items * h * w, c))
+        _check(lambda: _proj_loss(np.random.default_rng(trial), feature_map(tokens(fmap) * rows, h, w, (items,))),
+               {"fmap": fmap, "rows": rows}, trial)
+
+    @pytest.mark.parametrize("trial", range(BATCH_TRIALS))
+    def test_attention_with_items(self, trial):
+        rng = np.random.default_rng(1300 + trial)
+        heads, items = (1, 2, 4)[trial % 3], 2 + trial % 2
+        q = _leaf(rng, (items * 3, 4))
+        k = _leaf(rng, (items * 5, 4))
+        v = _leaf(rng, (items * 5, 4))
+        _check(lambda: _proj_loss(np.random.default_rng(trial), attention(q, k, v, heads, items)),
+               {"q": q, "k": k, "v": v}, trial)
+
+    @pytest.mark.parametrize("trial", range(BATCH_TRIALS))
+    def test_upsample_nearest(self, trial):
+        rng = np.random.default_rng(1400 + trial)
+        x = _leaf(rng, (2, 2, 3, 3))
+        _check(lambda: _proj_loss(np.random.default_rng(trial), upsample_nearest(x, 1 + trial % 3)), {"x": x}, trial)
+
+    @pytest.mark.parametrize("trial", range(BATCH_TRIALS))
+    @pytest.mark.parametrize("mode", ["avg", "max"])
+    def test_adaptive_pool2d(self, mode, trial):
+        rng = np.random.default_rng(1500 + trial)
+        x = _leaf(rng, (2, 3, 4, 5))
+        _check(lambda: _proj_loss(np.random.default_rng(trial), adaptive_pool(x, mode, (1, 1))), {"x": x}, trial)
+
+    @pytest.mark.parametrize("trial", range(BATCH_TRIALS))
+    def test_cross_entropy(self, trial):
+        rng = np.random.default_rng(1600 + trial)
+        x = _leaf(rng, (2 + trial % 2, 4, 2, 3))
+        mask = rng.integers(0, 4, (x.shape[0], 2, 3))
+        mask[0, 0, :2] = 255  # items with different pixel counts weigh their pixels differently
+        _check(lambda: cross_entropy(x, mask), {"x": x}, trial)

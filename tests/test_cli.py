@@ -3,6 +3,8 @@
 import ast
 import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,6 +14,8 @@ import pytest
 from ivgf import cli, io_formats, pipeline
 from ivgf.rng import RngState
 from oracles import inject_sign_fault
+
+REPO = Path(__file__).resolve().parent.parent
 
 SMALL_CFG = """
 backbone.base_width = 8
@@ -223,6 +227,18 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "is a directory" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["loss_curve.csv", "run_metadata.txt"])
+    def test_checkpoint_path_naming_another_output_is_exit_2_and_leaves_no_results_dir(
+        self, tmp_path, small_config, capsys, name
+    ):
+        out = tmp_path / "o"
+        code = cli.main(["train-toy", "--config", small_config, "--steps", "1", "--out-dir", str(out),
+                         "--out-ckpt", str(tmp_path / "." / "o" / name)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and name in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("steps", ["-1", "0"])
     def test_train_toy_non_positive_steps_is_exit_2_and_leaves_no_results_dir(
@@ -481,3 +497,25 @@ def test_head_classes_above_255_is_exit_2_and_leaves_no_results_dir(tmp_path, ca
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "line 2" in err and "head.classes" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", ["small", "toy"])
+def test_train_toy_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, small_config, config):
+    """One and two OpenBLAS threads give byte-identical loss curves and checkpoints.
+
+    toy.cfg's batched matmuls are the widest the program runs, the ones that
+    could cross OpenBLAS's threading threshold.
+    """
+    cfg = small_config if config == "small" else str(REPO / "configs" / "toy.cfg")
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(REPO / "src"))
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from ivgf.cli import main; sys.exit(main(sys.argv[1:]))",
+             "train-toy", "--config", cfg, "--steps", "3", "--seed", "7", "--out-dir", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        assert f"blas_threads = {threads}" in (out / "run_metadata.txt").read_text(encoding="utf-8")
+        outputs[threads] = [(out / name).read_bytes() for name in ("loss_curve.csv", "model.ckpt")]
+    assert outputs["1"] == outputs["2"]

@@ -7,7 +7,8 @@ import pytest
 
 from ivgf import gradcheck, pipeline
 from ivgf.backbone import MultiScaleFeatures
-from ivgf.errors import DetachedParameterError, NonFiniteError
+from ivgf import augment
+from ivgf.errors import DetachedParameterError, FormatError, NonFiniteError
 from ivgf.io_formats import Config
 from ivgf.params import ParamStore
 from ivgf.rng import RngState
@@ -87,6 +88,20 @@ class TestCrossEntropy:
     def test_out_of_range_class_rejected(self):
         with pytest.raises(ValueError):
             pipeline.cross_entropy(Tensor(np.zeros((3, 2, 2))), np.full((2, 2), 7))
+
+    def test_every_pixel_ignored_in_one_item_is_a_format_error_naming_it(self):
+        mask = np.zeros((3, 2, 2), dtype=np.int64)
+        mask[1] = 255
+        with pytest.raises(FormatError, match="batch item 1.*ignore"):
+            pipeline.cross_entropy(Tensor(np.zeros((3, 4, 2, 2))), mask)
+
+    def test_out_of_range_id_is_a_format_error_naming_the_item_and_id(self):
+        mask = np.zeros((2, 2, 2), dtype=np.int64)
+        mask[1, 0, 1] = 3
+        with pytest.raises(FormatError, match=r"batch item 1: .*\[0,3\).* got 3"):
+            pipeline.cross_entropy(Tensor(np.zeros((2, 3, 2, 2))), mask)
+        with pytest.raises(FormatError, match="batch item 0: .* got -1"):
+            pipeline.cross_entropy(Tensor(np.zeros((3, 2, 2))), np.full((2, 2), -1))
 
     def test_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(5)
@@ -303,6 +318,40 @@ class TestTraining:
         assert losses_a == losses_b
         assert losses_a[-1] < losses_a[0]
         assert all(np.isfinite(losses_a))
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_one_batched_graph_equals_the_per_scene_tapes(self, size):
+        """The batch runs as one [B,3,H,W] graph; per scene it is the mean of the scene losses."""
+        cfg = Config(backbone_base_width=8, head_width=8, data_image_size=32, aug_p_cutmix=0.5, aug_p_cutout=0.5)
+        scenes = pipeline.make_dataset(9, "train", size, 32)
+        aug_cfg, aug_rng = pipeline.aug_config_from(cfg), RngState(9).derive("augment", 0)
+
+        model = pipeline.build_model(cfg, seed=9)
+        params = dict(model.store.items())
+        losses = []
+        for slot, scene in enumerate(scenes):
+            ir, vis, _ = augment.cma_apply(scene.ir, scene.vis, aug_cfg, aug_rng.derive(slot))
+            losses.append(pipeline.cross_entropy(pipeline.model_forward(model, ir, vis)[1], scene.mask))
+        per_scene = losses[0]
+        for loss in losses[1:]:
+            per_scene = per_scene + loss
+        per_scene = per_scene / size
+        expected = named_gradients(per_scene, params)
+
+        opt = pipeline.AdamW(model.store, lr=1e-3)
+        captured = {}
+        opt.step = lambda grads: captured.update({n: g.copy() for n, g in grads.items()})
+        value = pipeline.train_step(model, scenes, opt, aug_cfg, aug_rng)
+        assert abs(value - per_scene.item()) <= 1e-12 * abs(per_scene.item())
+        assert captured.keys() == expected.keys()
+        largest = max(np.max(np.abs(g)) for g in expected.values())
+        for name, want in expected.items():
+            err = np.max(np.abs(captured[name] - want))
+            # softmax ignores a shift shared by all keys, so the key biases' exact
+            # gradient is 0 and both tapes hold only roundoff: measure it against
+            # the largest gradient entry of the model instead of its own
+            scale = largest if name.endswith(".k.b") else np.max(np.abs(want))
+            assert err <= 1e-10 * scale, f"{name}: {err:.3e} against {scale:.3e}"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_tensor_name(self):

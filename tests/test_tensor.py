@@ -344,3 +344,135 @@ def test_narrow_rejects_out_of_range():
     for axis, start, length in ((1, 3, 2), (0, -1, 2), (1, 0, 5)):
         with pytest.raises(DE):
             narrow(t, axis, start, length)
+
+
+class TestBatchAxis:
+    """[B,...] stacks against the single-item oracles looped over the batch; [C,H,W] is the B = 1 case."""
+
+    @pytest.mark.parametrize("stride,padding,k", [(1, 0, 1), (1, 1, 3), (2, 1, 3), (2, 0, 3)])
+    def test_conv2d_matches_batched_loop_oracle(self, stride, padding, k):
+        rng = RNG(50 + stride + 2 * padding + k)
+        for items in (1, 2, 3):
+            c_in, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            h, w = int(rng.integers(3, 8)), int(rng.integers(3, 8))
+            x = rng.uniform(-1, 1, (items, c_in, h, w))
+            wt = rng.uniform(-1, 1, (c_out, c_in, k, k))
+            b = rng.uniform(-1, 1, c_out)
+            out = conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding)
+            expected = oracles.conv2d_batch_naive(x, wt, b, stride=stride, padding=padding)
+            assert out.shape == expected.shape and out.data.flags.c_contiguous
+            assert np.max(np.abs(out.data - expected)) < 1e-12
+
+    def test_a_map_is_the_one_item_stack_bitwise(self):
+        rng = RNG(51)
+        x = rng.uniform(-1, 1, (3, 6, 6))
+        wt, b = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3))), Tensor(rng.uniform(-1, 1, 4))
+        one = conv2d(Tensor(x), wt, b, stride=2, padding=1)
+        stacked = conv2d(Tensor(x[None]), wt, b, stride=2, padding=1)
+        assert one.shape == (4, 3, 3) and stacked.shape == (1, 4, 3, 3)
+        assert np.array_equal(stacked.data[0], one.data)
+        assert np.array_equal(tokens(Tensor(x[None])).data, tokens(Tensor(x)).data)
+        assert np.array_equal(upsample_nearest(Tensor(x[None]), 2).data[0], upsample_nearest(Tensor(x), 2).data)
+
+    def test_tokens_and_feature_map_match_batched_loop_oracle(self):
+        rng = RNG(52)
+        for items, c, h, w in ((2, 3, 2, 5), (3, 1, 4, 1), (1, 6, 1, 3)):
+            x = rng.uniform(-2, 2, (items, c, h, w))
+            rows = tokens(Tensor(x))
+            assert rows.shape == (items * h * w, c) and rows.data.flags.c_contiguous
+            assert np.max(np.abs(rows.data - oracles.tokens_batch_naive(x))) < 1e-12
+            r = rng.uniform(-2, 2, (items * h * w, c))
+            back = feature_map(Tensor(r), h, w, (items,))
+            assert back.shape == (items, c, h, w) and back.data.flags.c_contiguous
+            assert np.max(np.abs(back.data - oracles.feature_map_batch_naive(r, items, h, w))) < 1e-12
+            assert np.array_equal(feature_map(rows, h, w, (items,)).data, x)
+
+    def test_feature_map_rejects_rows_of_another_item_count(self):
+        with pytest.raises(DimensionError):
+            feature_map(Tensor(np.zeros((12, 4))), 2, 3, (3,))
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_with_items_matches_per_item_loop_oracle(self, heads):
+        rng = RNG(53 + heads)
+        for items in (1, 2, 3):
+            q = rng.uniform(-2, 2, (items * 5, 8))
+            k = rng.uniform(-2, 2, (items * 7, 8))
+            v = rng.uniform(-2, 2, (items * 7, 8))
+            out = attention(Tensor(q), Tensor(k), Tensor(v), heads, items)
+            assert out.shape == (items * 5, 8)
+            assert np.max(np.abs(out.data - oracles.attention_items_naive(q, k, v, heads, items))) < 1e-12
+
+    def test_attention_rejects_items_not_dividing_rows(self):
+        with pytest.raises(DimensionError, match="items"):
+            attention(Tensor(np.zeros((5, 4))), Tensor(np.zeros((6, 4))), Tensor(np.zeros((6, 4))), 2, 2)
+
+    @pytest.mark.parametrize("factor", [1, 2, 4])
+    def test_upsample_nearest_matches_loop_oracle(self, factor):
+        rng = RNG(54 + factor)
+        for shape in ((3, 2, 3), (2, 3, 2, 3)):
+            x = rng.uniform(-1, 1, shape)
+            out = upsample_nearest(Tensor(x), factor)
+            assert np.max(np.abs(out.data - oracles.upsample_nearest_naive(x, factor))) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["avg", "max"])
+    def test_adaptive_pool2d_matches_batched_loop_oracle(self, mode):
+        rng = RNG(55)
+        for items in (1, 2, 3):
+            x = rng.uniform(-1, 1, (items, 3, int(rng.integers(1, 8)), int(rng.integers(1, 6))))
+            out = adaptive_pool(Tensor(x), mode, (1, 1))
+            assert out.shape == (items, 3, 1, 1)
+            assert np.max(np.abs(out.data - oracles.adaptive_pool2d_batch_naive(x, mode))) < 1e-12
+
+    def test_cross_entropy_matches_batched_loop_oracle(self):
+        rng = RNG(56)
+        for items in (1, 2, 3):
+            logits = rng.uniform(-3, 3, (items, 4, 3, 5))
+            mask = rng.integers(0, 4, (items, 3, 5))
+            mask[rng.uniform(size=mask.shape) < 0.3] = 255
+            mask[:, 0, 0] = 1  # every item keeps a pixel
+            loss = cross_entropy(Tensor(logits), mask).item()
+            assert abs(loss - oracles.cross_entropy_naive(logits, mask)) < 1e-12
+
+
+def _attention_reference(q, k, v, heads):
+    """The attention expressions before the softmax ran in place, on one item."""
+    (n, c), m = q.shape, k.shape[0]
+    d = c // heads
+    scale = 1.0 / (d**0.5)
+
+    def split(x, rows):
+        return np.ascontiguousarray(x.reshape(rows, heads, d).transpose(1, 0, 2))
+
+    def merge(x, rows):
+        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(rows, c)
+
+    qh, vh = split(q, n), split(v, m)
+    kt = np.ascontiguousarray(k.reshape(m, heads, d).transpose(1, 2, 0))
+    z = (qh @ kt) * scale
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        go = split(g, n)
+        gs = go @ vh.transpose(0, 2, 1)
+        gz = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * scale
+        gk = (qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)
+        return merge(gz @ kt.transpose(0, 2, 1), n), merge(gk, m), merge(s.transpose(0, 2, 1) @ go, m)
+
+    return merge(s @ vh, n), back
+
+
+def test_in_place_attention_softmax_is_bitwise_the_fresh_array_expressions():
+    from ivgf.tensor import backward
+
+    rng = RNG(57)
+    n, c, heads = 256, 32, 4  # the first fusion scale of toy.cfg: [4, 256, 256] score stacks
+    q, k, v = (Tensor(rng.uniform(-2, 2, (n, c)), requires_grad=True) for _ in range(3))
+    out = attention(q, k, v, heads)
+    expected, back = _attention_reference(q.data, k.data, v.data, heads)
+    assert np.array_equal(out.data, expected)
+    weights = rng.uniform(-1, 1, (n, c))
+    grads = backward((out * Tensor(weights)).sum(), [q, k, v])
+    for got, want in zip(grads, back(weights)):
+        assert np.array_equal(got, want)
