@@ -9,6 +9,9 @@ Conventions:
   * inside `no_grad()` kernels build no tape: each result is a leaf that
     holds neither parents nor closure, so forward-only passes free every
     intermediate once its consumer has run
+  * a kernel computes its output and nothing else; state only its backward
+    needs (concat offsets, pooling argmax positions) is built inside the closure
+    from the saved inputs, so a `no_grad()` pass never pays for it
 """
 
 from __future__ import annotations
@@ -20,9 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 _seq_counter = itertools.count()
+_F64 = np.dtype(np.float64)
+
+# Score values per group of (item, head) slices in attention's backward:
+# 1 << 16 float64 values are 512 KB, so a group's temporaries stay in L2.
+ATTENTION_TILE = 1 << 16
 
 # False inside no_grad(): _node then records nothing for backward.
 _grad_enabled = True
@@ -34,10 +42,11 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "op", "_parents", "_backward_fn", "_seq")
 
     def __init__(self, data, requires_grad=False, op="leaf", parents=(), backward_fn=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        # a float64 ndarray is kept as it is: np.asarray would return it unchanged
+        self.data = data if type(data) is np.ndarray and data.dtype is _F64 else np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.op = op
-        self._parents = tuple(parents)
+        self._parents = parents if type(parents) is tuple else tuple(parents)
         self._backward_fn = backward_fn
         self._seq = next(_seq_counter)
 
@@ -102,14 +111,9 @@ def no_grad():
 
 
 def _node(data, op, parents, backward_fn) -> Tensor:
-    req = _grad_enabled and any(p.requires_grad for p in parents)
-    return Tensor(
-        data,
-        requires_grad=req,
-        op=op,
-        parents=parents if req else (),
-        backward_fn=backward_fn if req else None,
-    )
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        return Tensor(data, True, op, parents, backward_fn)
+    return Tensor(data, False, op)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -149,12 +153,11 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # 1/(1+exp(-x)) computed branch-wise so both tails stay finite
-    out = np.empty_like(x.data)
-    pos = x.data >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, so both tails stay
+    # finite: e = exp(-|x|) is exactly exp(-x) on the first branch and exp(x) on
+    # the second (a NaN stays NaN, though its sign bit may not)
+    e = np.exp(-np.abs(x.data))
+    out = np.where(x.data >= 0.0, 1.0, e) / (1.0 + e)
 
     def back(g):
         return (g * out * (1.0 - out),)
@@ -212,10 +215,9 @@ def feature_map(rows: Tensor, h: int, w: int, lead=()) -> Tensor:
 
 def concat(parts, axis: int) -> Tensor:
     parts = tuple(parts)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
     def back(g):
+        offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
         slicer = [slice(None)] * g.ndim
         grads = []
         for i in range(len(parts)):
@@ -263,17 +265,18 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x[..., D_in] @ weight[D_out, D_in]^T + bias[D_out]."""
-    d_in = x.shape[-1]
-    if weight.ndim != 2 or weight.shape[1] != d_in:
+    d_in, w_shape = x.data.shape[-1], weight.data.shape
+    if len(w_shape) != 2 or w_shape[1] != d_in:
         raise DimensionError(
-            f"linear: input trailing dim {d_in} does not match weight {weight.shape}"
+            f"linear: input trailing dim {d_in} does not match weight {w_shape}"
         )
-    if bias.shape != (weight.shape[0],):
-        raise DimensionError(f"linear: bias shape {bias.shape} != ({weight.shape[0]},)")
-    out = x.data @ weight.data.T + bias.data
+    if bias.data.shape != (w_shape[0],):
+        raise DimensionError(f"linear: bias shape {bias.data.shape} != ({w_shape[0]},)")
+    out = x.data @ weight.data.T
+    out += bias.data
 
     def back(g):
-        g2 = g.reshape(-1, weight.shape[0])
+        g2 = g.reshape(-1, w_shape[0])
         x2 = x.data.reshape(-1, d_in)
         return g @ weight.data, g2.T @ x2, g2.sum(axis=0)
 
@@ -313,12 +316,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         xp, unpadded = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding)), xp
         xp[:, :, padding : padding + h, padding : padding + w] = unpadded
 
-    # im2col as one copy of a strided view of xp:
-    # cols[c, di, dj, b, i, j] = padded[b, c, i*s + di, j*s + dj]
-    sb, sc, sh, sw = xp.strides
-    windows = np.ndarray((c_in, k, k, b, h_out, w_out), xp.dtype, xp, 0, (sc, sh, sw, sb, sh * stride, sw * stride))
-    cols2 = windows.copy().reshape(c_in * k * k, -1)
-    out = (weight.data.reshape(c_out, -1) @ cols2 + bias.data[:, None]).reshape(c_out, b, h_out, w_out)
+    if k == 1 and stride == 1:  # im2col is the stack itself, channels first: a view for one item
+        cols2 = xp.transpose(1, 0, 2, 3).reshape(c_in, -1)
+    else:  # im2col as one copy of a strided view of xp:
+        # cols[c, di, dj, b, i, j] = padded[b, c, i*s + di, j*s + dj]
+        sb, sc, sh, sw = xp.strides
+        windows = np.ndarray((c_in, k, k, b, h_out, w_out), xp.dtype, xp, 0, (sc, sh, sw, sb, sh * stride, sw * stride))
+        cols2 = windows.copy().reshape(c_in * k * k, -1)
+    out = weight.data.reshape(c_out, -1) @ cols2
+    out += bias.data[:, None]
+    out = out.reshape(c_out, b, h_out, w_out)
     out = np.ascontiguousarray(out.transpose(1, 0, 2, 3)).reshape(shape[:-3] + (c_out, h_out, w_out))
     padded_shape = xp.shape
 
@@ -349,18 +356,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)"
         )
     if eps <= 0:
-        raise ValueError(f"layer_norm eps must be > 0, got {eps}")
-    d = x.data - x.data.mean(axis=1, keepdims=True)
+        raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
+    # .sum(...) / c is what .mean computes, without its Python wrapper
+    d = x.data - x.data.sum(axis=1, keepdims=True) / c
     var = (d * d).sum(axis=1, keepdims=True) / c  # biased, the same sums np.var takes
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = d * inv_std
 
     def back(g):
         gy = g * gamma.data
-        gx = (gy - gy.mean(axis=1, keepdims=True) - xhat * (gy * xhat).mean(axis=1, keepdims=True)) * inv_std
+        gx = (gy - gy.sum(axis=1, keepdims=True) / c - xhat * ((gy * xhat).sum(axis=1, keepdims=True) / c)) * inv_std
         return gx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
-    return _node(xhat * gamma.data + beta.data, "layer_norm", (x, gamma, beta), back)
+    out = xhat * gamma.data
+    out += beta.data
+    return _node(out, "layer_norm", (x, gamma, beta), back)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -385,9 +395,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, items: int = 1) -> Te
     attends only within itself. The (item, head) pairs run as contiguous
     [B, heads, rows, d] stacks through batched matmuls and the softmax_rows
     expressions along the last axis, computed in place, so each head
-    computes exactly what a per-head 2-d loop would. Gradients come back
-    C-contiguous: numpy sums an F-ordered array in another order, which
-    would change the bias gradients of the linear layers feeding q, k, v.
+    computes exactly what a per-head 2-d loop would; the backward runs its
+    softmax expressions over cache-sized groups of (item, head) slices.
+    Gradients come back C-contiguous: numpy sums an F-ordered array in
+    another order, which would change the bias gradients of the linear
+    layers feeding q, k, v.
     """
     qs, ks = q.data.shape, k.data.shape
     if len(qs) != 2 or len(ks) != 2 or v.data.shape != ks or qs[1] != ks[1]:
@@ -419,10 +431,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, items: int = 1) -> Te
 
     def back(g):
         go = split(g, n)
-        gz = go @ vh.swapaxes(-1, -2)
-        gz -= (gz * s).sum(axis=-1, keepdims=True)
-        gz *= s
-        gz *= scale
+        gz = np.empty_like(s)
+        # the dZ expressions run over groups of (item, head) slices of at most
+        # ATTENTION_TILE scores, so each group's temporaries stay in cache
+        go3, vt3 = go.reshape(-1, n, d), vh.swapaxes(-1, -2).reshape(-1, d, m)
+        gz3, s3 = gz.reshape(-1, n, m), s.reshape(-1, n, m)
+        step = max(1, ATTENTION_TILE // (n * m))
+        for i in range(0, len(s3), step):
+            z, p = gz3[i : i + step], s3[i : i + step]
+            np.matmul(go3[i : i + step], vt3[i : i + step], out=z)
+            z -= (z * p).sum(axis=-1, keepdims=True)
+            z *= p
+            z *= scale
         gk = (qh.swapaxes(-1, -2) @ gz).swapaxes(-1, -2)  # (Q^T dZ)^T
         return merge(gz @ kt.swapaxes(-1, -2), n), merge(gk, m), merge(s.swapaxes(-1, -2) @ go, m)
 
@@ -440,7 +460,7 @@ def adaptive_pool(x: Tensor, mode: str, out_size) -> Tensor:
     [B,C,1,1].
     """
     if mode not in ("avg", "max"):
-        raise ValueError(f"adaptive_pool mode must be 'avg' or 'max', got {mode!r}")
+        raise ConfigError(f"adaptive_pool mode must be 'avg' or 'max', got {mode!r}")
     if x.ndim in (3, 4) and out_size == (1, 1):
         rows, bins, op = x.data.reshape(-1, x.shape[-2] * x.shape[-1]), 1, f"adaptive_{mode}_pool2d"
         out_shape = x.shape[:-2] + (1, 1)
@@ -454,26 +474,17 @@ def adaptive_pool(x: Tensor, mode: str, out_size) -> Tensor:
         )
     n, c = rows.shape
     width = c // bins
-    out = np.empty((n, bins))
-    argmax = np.empty((n, bins), dtype=np.int64) if mode == "max" else None
-    for j in range(bins):
-        block = rows[:, j * width : (j + 1) * width]
-        if mode == "avg":
-            out[:, j] = block.mean(axis=1)
-        else:
-            idx = block.argmax(axis=1)
-            argmax[:, j] = idx
-            out[:, j] = block[np.arange(n), idx]
+    blocks = rows.reshape(n, bins, width)  # bin j of row i is blocks[i, j]
+    # .sum(...) / width is what .mean computes, without its Python wrapper
+    out = blocks.sum(axis=2) / width if mode == "avg" else blocks.max(axis=2)
 
     def back(g):
-        g = g.reshape(n, bins)
-        gx = np.zeros_like(rows)
-        for j in range(bins):
-            c0 = j * width
-            if mode == "avg":
-                gx[:, c0 : c0 + width] += (g[:, j] / width)[:, None]
-            else:
-                gx[np.arange(n), c0 + argmax[:, j]] += g[:, j]
+        gx = np.zeros((n, bins, width))
+        if mode == "avg":
+            gx += (g.reshape(n, bins) / width)[:, :, None]
+        else:  # the first maximum of each bin takes its gradient; kernels never mutate x.data
+            i, j = np.ogrid[:n, :bins]
+            gx[i, j, blocks.argmax(axis=2)] += g.reshape(n, bins)
         return (gx.reshape(x.shape),)
 
     return _node(out.reshape(out_shape), op, (x,), back)
@@ -582,15 +593,3 @@ def finite_diff_pair(f, x: Tensor, i: int, eps: float) -> tuple[float, float]:
     f_minus = float(f(x))
     flat[i] = orig
     return f_plus, f_minus
-
-
-def max_rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-3) -> float:
-    """Largest elementwise |a-b| / max(|a|, |b|, floor).
-
-    The floor guards the quotient where both gradients are ~0, where central
-    differences only carry roundoff noise.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0

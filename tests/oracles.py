@@ -3,9 +3,11 @@
 These stay deliberately independent of the package kernels: plain numpy
 arrays in, plain arrays out, no calls into the tape. They exist so that
 every production code path can be compared against a second, dumber
-derivation of the same math. The one exception, inject_sign_fault, breaks
-a kernel's backward on purpose, so tests can show the gradient checks
-notice.
+derivation of the same math. Two exceptions: inject_sign_fault breaks a
+kernel's backward on purpose, so tests can show the gradient checks
+notice, and check_entries_naive takes its analytic gradients from the tape,
+because what it re-derives is the gradient check's scoring, not the
+gradients.
 """
 
 import math
@@ -13,7 +15,8 @@ import math
 import numpy as np
 
 from ivgf import pipeline, tensor
-from ivgf.tensor import finite_diff_pair
+from ivgf.gradcheck import FD_EPS
+from ivgf.tensor import finite_diff_pair, named_gradients, no_grad
 
 
 def relu_naive(a):
@@ -31,6 +34,17 @@ def sigmoid_naive(a):
     flat_out = out.reshape(-1)
     for i in range(flat_in.size):
         flat_out[i] = 1.0 / (1.0 + math.exp(-flat_in[i]))
+    return out
+
+
+def sigmoid_masked(a):
+    """The two-branch masked sigmoid: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) elsewhere."""
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty_like(a)
+    pos = a >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ex = np.exp(a[~pos])
+    out[~pos] = ex / (1.0 + ex)
     return out
 
 
@@ -331,6 +345,49 @@ def finite_diff_grad(f, x, eps=1e-5):
         f_plus, f_minus = finite_diff_pair(f, x, i, eps)
         grad[i] = (f_plus - f_minus) / (2.0 * eps)
     return grad.reshape(x.shape)
+
+
+def max_rel_error(a, b, floor=1e-3):
+    """Largest elementwise |a-b| / max(|a|, |b|, floor); 0 for empty arrays."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def check_entries_naive(loss_fn, tensors, entries, tolerance, kinks=None):
+    """The gradient check's scoring one entry at a time, with scalar errors.
+
+    Central difference per entry; where the one-sided slopes disagree by
+    more than the tolerance, the closest of central, right and left to the
+    tape entry (the first on a tie), and "name[i]" is appended to `kinks`
+    when given. Returns (worst error, "name[i]") of the first entry with the
+    largest error, or (0.0, "-").
+    """
+    loss = loss_fn()
+    f0 = loss.item()
+    grads = named_gradients(loss, tensors)
+    del loss
+
+    def value(_):
+        with no_grad():
+            return loss_fn().item()
+
+    worst_err, worst_name = 0.0, "-"
+    for name, idxs in entries.items():
+        analytic = grads[name].reshape(-1)
+        for i in sorted(idxs):
+            f_plus, f_minus = finite_diff_pair(value, tensors[name], i, FD_EPS)
+            numeric = (f_plus - f_minus) / (2.0 * FD_EPS)
+            right, left = (f_plus - f0) / FD_EPS, (f0 - f_minus) / FD_EPS
+            if max_rel_error(right, left) > tolerance:
+                if kinks is not None:
+                    kinks.append(f"{name}[{i}]")
+                numeric = min((numeric, right, left), key=lambda d: abs(d - analytic[i]))
+            err = max_rel_error(analytic[i], numeric)
+            if err > worst_err:
+                worst_err, worst_name = err, f"{name}[{i}]"
+    return worst_err, worst_name
 
 
 def inject_sign_fault(monkeypatch, op):

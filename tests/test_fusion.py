@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import max_rel_error
 from ivgf import fusion
 from ivgf.errors import ConfigError, DimensionError
 from ivgf.params import ParamStore
 from ivgf.rng import RngState
-from ivgf.tensor import Tensor, backward, max_rel_error
+from ivgf.tensor import Tensor, backward
 
 ORACLE_TRIALS = 10
 

@@ -12,8 +12,8 @@ from ivgf.errors import DetachedParameterError, FormatError, NonFiniteError
 from ivgf.io_formats import Config
 from ivgf.params import ParamStore
 from ivgf.rng import RngState
-from ivgf.tensor import Tensor, backward, max_rel_error, named_gradients
-from oracles import finite_diff_grad
+from ivgf.tensor import Tensor, backward, named_gradients
+from oracles import finite_diff_grad, max_rel_error
 
 SMALL = Config(backbone_base_width=8, head_width=8, data_image_size=32)
 

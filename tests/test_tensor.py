@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
-from ivgf.errors import DimensionError
+from ivgf import tensor
+from ivgf.errors import ConfigError, DimensionError
 from ivgf.pipeline import cross_entropy
 from ivgf.tensor import (
     Tensor,
+    backward,
     adaptive_pool,
     attention,
     concat,
@@ -326,6 +328,16 @@ class TestArgumentErrors:
             upsample_nearest(Tensor(np.zeros((1, 2, 2))), 0)
         assert issubclass(DimensionError, ValueError)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-5])
+    def test_layer_norm_eps_is_a_config_error(self, eps):
+        with pytest.raises(ConfigError, match="eps"):
+            layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=eps)
+
+    def test_adaptive_pool_unknown_mode_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="mode"):
+            adaptive_pool(Tensor(np.zeros((2, 4, 4))), "median", (1, 1))
+        assert issubclass(ConfigError, ValueError)
+
 
 @pytest.mark.parametrize("shape", [(16, 128), (256, 64), (64, 512), (7, 33), (3, 4), (1, 5)])
 def test_layer_norm_variance_is_numpys_bitwise(shape):
@@ -434,20 +446,21 @@ class TestBatchAxis:
             assert abs(loss - oracles.cross_entropy_naive(logits, mask)) < 1e-12
 
 
-def _attention_reference(q, k, v, heads):
-    """The attention expressions before the softmax ran in place, on one item."""
-    (n, c), m = q.shape, k.shape[0]
+def _attention_reference(q, k, v, heads, items=1):
+    """The attention expressions as fresh arrays over the whole [items, heads, rows, rows] stack."""
+    c = q.shape[1]
+    n, m = q.shape[0] // items, k.shape[0] // items
     d = c // heads
     scale = 1.0 / (d**0.5)
 
     def split(x, rows):
-        return np.ascontiguousarray(x.reshape(rows, heads, d).transpose(1, 0, 2))
+        return np.ascontiguousarray(x.reshape(items, rows, heads, d).transpose(0, 2, 1, 3))
 
     def merge(x, rows):
-        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(rows, c)
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(-1, c)
 
     qh, vh = split(q, n), split(v, m)
-    kt = np.ascontiguousarray(k.reshape(m, heads, d).transpose(1, 2, 0))
+    kt = np.ascontiguousarray(k.reshape(items, m, heads, d).transpose(0, 2, 3, 1))
     z = (qh @ kt) * scale
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -455,17 +468,15 @@ def _attention_reference(q, k, v, heads):
 
     def back(g):
         go = split(g, n)
-        gs = go @ vh.transpose(0, 2, 1)
+        gs = go @ vh.swapaxes(-1, -2)
         gz = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * scale
-        gk = (qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)
-        return merge(gz @ kt.transpose(0, 2, 1), n), merge(gk, m), merge(s.transpose(0, 2, 1) @ go, m)
+        gk = (qh.swapaxes(-1, -2) @ gz).swapaxes(-1, -2)
+        return merge(gz @ kt.swapaxes(-1, -2), n), merge(gk, m), merge(s.swapaxes(-1, -2) @ go, m)
 
     return merge(s @ vh, n), back
 
 
 def test_in_place_attention_softmax_is_bitwise_the_fresh_array_expressions():
-    from ivgf.tensor import backward
-
     rng = RNG(57)
     n, c, heads = 256, 32, 4  # the first fusion scale of toy.cfg: [4, 256, 256] score stacks
     q, k, v = (Tensor(rng.uniform(-2, 2, (n, c)), requires_grad=True) for _ in range(3))
@@ -476,3 +487,91 @@ def test_in_place_attention_softmax_is_bitwise_the_fresh_array_expressions():
     grads = backward((out * Tensor(weights)).sum(), [q, k, v])
     for got, want in zip(grads, back(weights)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "items, n, c, heads, groups",
+    [
+        (2, 256, 32, 4, (1,) * 8),  # the first fusion scale of a batch-2 toy.cfg step: one slice per group
+        (3, 128, 8, 2, (4, 2)),  # 128x128 scores: groups of 4 slices, the last one ragged
+        (1, 16, 32, 4, (4,)),  # a small stack runs as one group
+    ],
+)
+def test_tiled_attention_backward_is_bitwise_the_whole_stack_expressions(items, n, c, heads, groups):
+    step = max(1, tensor.ATTENTION_TILE // (n * n))
+    assert tuple(min(step, items * heads - i) for i in range(0, items * heads, step)) == groups
+    rng = RNG(58)
+    q, k, v = (Tensor(rng.uniform(-2, 2, (items * n, c)), requires_grad=True) for _ in range(3))
+    out = attention(q, k, v, heads, items)
+    expected, back = _attention_reference(q.data, k.data, v.data, heads, items)
+    assert np.array_equal(out.data, expected)
+    weights = rng.uniform(-1, 1, (items * n, c))
+    for got, want in zip(backward((out * Tensor(weights)).sum(), [q, k, v]), back(weights)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("tile", [1, 20, 45, 10**6])
+def test_attention_backward_does_not_depend_on_the_grouping(monkeypatch, tile):
+    # 5x4 scores over 6 (item, head) slices: groups of 1, 1, 2 and 6 slices
+    rng = RNG(59)
+    q = Tensor(rng.uniform(-2, 2, (2 * 5, 6)), requires_grad=True)
+    k, v = (Tensor(rng.uniform(-2, 2, (2 * 4, 6)), requires_grad=True) for _ in range(2))
+    monkeypatch.setattr(tensor, "ATTENTION_TILE", tile)
+    out = attention(q, k, v, 3, 2)
+    weights = rng.uniform(-1, 1, out.shape)
+    _, back = _attention_reference(q.data, k.data, v.data, 3, 2)
+    for got, want in zip(backward((out * Tensor(weights)).sum(), [q, k, v]), back(weights)):
+        assert np.array_equal(got, want)
+
+
+class TestSigmoidAgainstTheMaskedForm:
+    """sigmoid is bitwise the two-branch masked form (oracles.sigmoid_masked), gradients too."""
+
+    SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 710.0, -710.0, 745.0, -745.0,
+               np.inf, -np.inf, np.nan]
+
+    @staticmethod
+    def _value_and_grad(x, g):
+        t = Tensor(x, requires_grad=True)
+        out = sigmoid(t)
+        return out.data, backward((out * Tensor(g)).sum(), [t])[0]
+
+    @staticmethod
+    def _masked_value_and_grad(x, g):
+        s = oracles.sigmoid_masked(x)
+        return s, g * s * (1.0 - s)
+
+    def test_random_shapes(self):
+        rng = RNG(60)
+        for _ in range(20):
+            shape = tuple(int(d) for d in rng.integers(1, 6, size=int(rng.integers(1, 4))))
+            x = rng.normal(0.0, 30.0, shape)
+            g = rng.uniform(-1, 1, shape)
+            for got, want in zip(self._value_and_grad(x, g), self._masked_value_and_grad(x, g)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_special_values(self):
+        x = np.array(self.SPECIAL)
+        g = np.linspace(-1.0, 1.0, x.size)
+        got, want = self._value_and_grad(x, g), self._masked_value_and_grad(x, g)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+            finite = np.isfinite(b)
+            assert np.array_equal(a[finite].view(np.int64), b[finite].view(np.int64))  # bit for bit, signed zeros included
+        assert np.isnan(got[0][-1]) and got[0][0] == 0.5
+
+
+@pytest.mark.parametrize("x, out_size", [
+    (np.array([[[1.0, 3.0], [3.0, 0.0]], [[2.0, 2.0], [2.0, 2.0]]]), (1, 1)),  # [C,H,W], ties in both maps
+    (np.array([[5.0, 1.0, 5.0, 0.0, 0.0, 0.0], [-1.0, -1.0, -2.0, 7.0, 3.0, 7.0]]), 2),  # [N,C] rows
+])
+def test_adaptive_max_pool_sends_the_gradient_to_the_first_maximum(x, out_size):
+    t = Tensor(x, requires_grad=True)
+    out = adaptive_pool(t, "max", out_size)
+    g = np.arange(1.0, out.size + 1.0).reshape(out.shape)
+    grad = backward((out * Tensor(g)).sum(), [t])[0]
+    rows = x.reshape(out.size, -1)  # one bin per row
+    expected = np.zeros_like(rows)
+    expected[np.arange(out.size), rows.argmax(axis=1)] = g.reshape(-1)
+    assert np.array_equal(grad, expected.reshape(x.shape))
+    assert np.count_nonzero(grad) == out.size
