@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .io_formats import Config
 from .params import ParamStore
 from .rng import RngState
-from .tensor import Tensor, finite_diff_pair, named_gradients, no_grad
+from .tensor import Tensor, named_gradients, no_grad
 
 DEFAULT_TOLERANCE = 1e-4
 COMPOSED_TOLERANCE = 1e-3
@@ -47,13 +47,29 @@ def rel_errors(a, b, floor: float = 1e-3) -> np.ndarray:
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
+def finite_diff_pair(f, x: Tensor, i: int, eps: float) -> tuple[float, float]:
+    """f(x) with flat entry i of x.data moved to x[i]+eps and to x[i]-eps.
+
+    x.data is perturbed in place and restored before returning. Stays fully
+    independent of the tape: it only ever evaluates f.
+    """
+    flat = x.data.reshape(-1)
+    orig = flat[i]
+    flat[i] = orig + eps
+    f_plus = float(f(x))
+    flat[i] = orig - eps
+    f_minus = float(f(x))
+    flat[i] = orig
+    return f_plus, f_minus
+
+
 def _check_entries(loss_fn, tensors: dict, entries: dict, tolerance: float) -> tuple[float, str]:
     """Compare tape gradients of loss_fn against FD on the chosen entries, in index order.
 
     The loss is evaluated twice per entry; the kink test, the choice of
     difference and the errors then run over all of a tensor's entries at once.
     The worst entry is the first one with the largest error; an error that is
-    NaN never counts as worse.
+    NaN counts as infinite, worse than any finite one.
     """
     loss = loss_fn()
     f0 = loss.item()
@@ -81,7 +97,7 @@ def _check_entries(loss_fn, tensors: dict, entries: dict, tolerance: float) -> t
         closest = candidates[np.abs(candidates - analytic).argmin(axis=0), np.arange(idx.size)]
         numeric = np.where(rel_errors(right, left) > tolerance, closest, numeric)
         errs = rel_errors(analytic, numeric)
-        errs[np.isnan(errs)] = -1.0
+        errs[np.isnan(errs)] = np.inf
         j = int(errs.argmax())
         if errs[j] > worst_err:
             worst_err, worst_name = float(errs[j]), f"{name}[{idx[j]}]"

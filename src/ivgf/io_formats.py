@@ -1,9 +1,9 @@
 """Bit-exact external formats: PNM images, binary checkpoints, config files.
 
 Everything here is platform independent: checkpoints are little-endian with
-32-bit float payloads (widened to 64-bit on load), text formats are plain
-UTF-8. Parsers reject malformed input wholesale; nothing is ever partially
-loaded.
+32-bit float payloads (widened to 64-bit as they are written into a
+`ParamStore`), text formats are plain UTF-8. Parsers reject malformed input
+wholesale; nothing is ever partially loaded.
 """
 
 from __future__ import annotations
@@ -164,46 +164,76 @@ def encode_checkpoint(store: ParamStore) -> bytes:
     return b"".join(chunks)
 
 
-def decode_checkpoint(data: bytes) -> ParamStore:
+class Checkpoint:
+    """A decoded checkpoint: read-only float32 arrays by name, in file order.
+
+    Each array is a view into the bytes the checkpoint was decoded from, so
+    decoding copies no payload; widening to float64 happens where the
+    values are written, in `ParamStore.load_arrays`.
+    """
+
+    def __init__(self, entries: dict[str, np.ndarray]):
+        self._entries = entries
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._entries[name]
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def names(self) -> list[str]:
+        return list(self._entries)
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        return dict(self._entries)
+
+
+def decode_checkpoint(data: bytes) -> Checkpoint:
     pos = 0
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> int:
+        """Claim the next n bytes and return their offset."""
         nonlocal pos
         if len(data) - pos < n:
             raise FormatError(f"truncated checkpoint while reading {what}", offset=pos)
-        chunk = data[pos : pos + n]
         pos += n
-        return chunk
+        return pos - n
 
-    if take(4, "magic") != CHECKPOINT_MAGIC:
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, data, take(struct.calcsize(fmt), what))
+
+    take(4, "magic")
+    if data[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {data[:4]!r}", offset=0)
-    version, count = struct.unpack("<II", take(8, "header"))
+    version, count = unpack("<II", "header")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    store = ParamStore()
+    entries: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        (name_len,) = unpack("<I", "name length")
+        start = take(name_len, "name")
         try:
-            name = take(name_len, "name").decode("utf-8")
+            name = bytes(data[start:pos]).decode("utf-8")
         except UnicodeDecodeError:
-            raise FormatError("checkpoint entry name is not UTF-8", offset=pos - name_len) from None
-        (ndim,) = struct.unpack("<I", take(4, "ndim"))
-        dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
+            raise FormatError("checkpoint entry name is not UTF-8", offset=start) from None
+        (ndim,) = unpack("<I", "ndim")
+        dims = unpack(f"<{ndim}I", "dims")
         n_values = math.prod(dims)  # exact: a product too large for the data fails the length check
-        values = np.frombuffer(take(4 * n_values, f"values of {name!r}"), dtype="<f4")
-        if name in store:
+        start = take(4 * n_values, f"values of {name!r}")
+        if name in entries:
             raise FormatError(f"duplicate checkpoint entry {name!r}", offset=pos)
+        values = np.frombuffer(data, dtype="<f4", count=n_values, offset=start)
         try:
-            array = values.astype(np.float64).reshape(dims)
+            values = values.reshape(dims)
         except ValueError as exc:  # more than 64 dims, or a size numpy cannot index even with a 0 dim
             raise FormatError(f"entry {name!r} has a shape numpy cannot hold: {exc}", offset=pos) from None
-        store.add(name, Tensor(array))
+        entries[name] = values
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes after last entry", offset=pos)
-    return store
+    return Checkpoint(entries)
 
 
-def load_checkpoint(path) -> ParamStore:
+def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         return decode_checkpoint(fh.read())
 

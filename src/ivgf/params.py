@@ -54,7 +54,10 @@ class ParamStore:
         """Copy values in by name, in place; names and shapes must match exactly.
 
         Every entry is checked (shape, then finiteness) before any is
-        written, so a refused load leaves the store as it was.
+        written, so a refused load leaves the store as it was. Entries keep
+        their dtype until written: float32 checkpoint views are checked as
+        float32 (finite exactly when their float64 widening is) and widened
+        by the write itself, with no float64 copy.
         """
         missing = [n for n in self._params if n not in arrays]
         extra = [n for n in arrays if n not in self._params]
@@ -65,7 +68,7 @@ class ParamStore:
         checked = []
         for name, values in arrays.items():
             p = self._params[name]
-            values = np.asarray(values, dtype=np.float64)
+            values = np.asarray(values)
             if values.shape != p.data.shape:
                 raise DimensionError(
                     f"parameter {name!r}: stored shape {values.shape} != model shape {p.data.shape}"

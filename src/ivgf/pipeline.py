@@ -253,10 +253,11 @@ class AdamW:
         self.t = 0
         self.param_arena = store.pack()
         self._data = [p.data for p in store.values()]  # the views each .data must still be
-        self.grad_arena = np.zeros_like(self.param_arena)
+        # np.zeros, not zeros_like: calloc'd pages are zeroed on first touch, in the first step, not here
+        self.grad_arena = np.zeros(self.param_arena.shape)
         self.grads = store.views(self.grad_arena)
-        self.m = np.zeros_like(self.param_arena)
-        self.v = np.zeros_like(self.param_arena)
+        self.m = np.zeros(self.param_arena.shape)
+        self.v = np.zeros(self.param_arena.shape)
         self._scratch = (np.empty(ADAMW_CHUNK), np.empty(ADAMW_CHUNK))
 
     def step(self, grads: dict):

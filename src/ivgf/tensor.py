@@ -574,22 +574,3 @@ def named_gradients(loss: Tensor, params, out=None) -> dict:
     """
     arrays = None if out is None else [out[name] for name in params]
     return dict(zip(params, backward(loss, params.values(), arrays)))
-
-
-# -- independent gradient oracle ---------------------------------------------
-
-
-def finite_diff_pair(f, x: Tensor, i: int, eps: float) -> tuple[float, float]:
-    """f(x) with flat entry i of x.data moved to x[i]+eps and to x[i]-eps.
-
-    x.data is perturbed in place and restored before returning. Stays fully
-    independent of the tape: it only ever evaluates f.
-    """
-    flat = x.data.reshape(-1)
-    orig = flat[i]
-    flat[i] = orig + eps
-    f_plus = float(f(x))
-    flat[i] = orig - eps
-    f_minus = float(f(x))
-    flat[i] = orig
-    return f_plus, f_minus

@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from ivgf import pipeline, tensor
-from ivgf.gradcheck import FD_EPS
-from ivgf.tensor import finite_diff_pair, named_gradients, no_grad
+from ivgf.gradcheck import FD_EPS, finite_diff_pair
+from ivgf.tensor import named_gradients, no_grad
 
 
 def relu_naive(a):
@@ -361,8 +361,8 @@ def check_entries_naive(loss_fn, tensors, entries, tolerance, kinks=None):
     Central difference per entry; where the one-sided slopes disagree by
     more than the tolerance, the closest of central, right and left to the
     tape entry (the first on a tie), and "name[i]" is appended to `kinks`
-    when given. Returns (worst error, "name[i]") of the first entry with the
-    largest error, or (0.0, "-").
+    when given. A NaN error counts as infinite. Returns (worst error,
+    "name[i]") of the first entry with the largest error, or (0.0, "-").
     """
     loss = loss_fn()
     f0 = loss.item()
@@ -385,6 +385,8 @@ def check_entries_naive(loss_fn, tensors, entries, tolerance, kinks=None):
                     kinks.append(f"{name}[{i}]")
                 numeric = min((numeric, right, left), key=lambda d: abs(d - analytic[i]))
             err = max_rel_error(analytic[i], numeric)
+            if math.isnan(err):
+                err = math.inf
             if err > worst_err:
                 worst_err, worst_name = err, f"{name}[{i}]"
     return worst_err, worst_name

@@ -338,7 +338,7 @@ def test_criterion_8_format_round_trips(tmp_path):
     path.write_bytes(io_formats.encode_checkpoint(store))
     loaded = io_formats.load_checkpoint(path)
     ckpt_ok = loaded.names() == store.names() and all(
-        np.array_equal(loaded[n].data, store[n].data.astype(np.float32).astype(np.float64))
+        np.array_equal(loaded[n], store[n].data.astype(np.float32).astype(np.float64))
         for n in store.names()
     )
 

@@ -77,3 +77,18 @@ def test_rel_errors_is_elementwise_with_the_floor():
 def test_trials_below_one_is_a_config_error():
     with pytest.raises(ConfigError, match="trials"):
         gradcheck.run_suite(0, 0)
+
+
+@pytest.mark.parametrize("check", [gradcheck._check_entries, oracles.check_entries_naive],
+                         ids=["vectorized", "scalar_oracle"])
+def test_nan_tape_gradients_fail_the_block(monkeypatch, check):
+    # a NaN error must count as worse than any finite one, not be skipped
+    def nan_gradients(loss, params, out=None):
+        return {name: np.full(t.shape, np.nan) for name, t in params.items()}
+
+    monkeypatch.setattr(gradcheck, "named_gradients", nan_gradients)
+    monkeypatch.setattr(oracles, "named_gradients", nan_gradients)
+    monkeypatch.setattr(gradcheck, "_check_entries", check)
+    result = gradcheck.check_tem(0, 1)
+    assert result.max_err == np.inf and result.worst != "-"
+    assert not result.ok

@@ -1,12 +1,16 @@
 """Format round trips and rejection paths for PNM, checkpoints, config."""
 
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ivgf import pipeline
 from ivgf.errors import ConfigError, DimensionError, FormatError, NonFiniteError
 from ivgf.io_formats import (
     Config,
@@ -15,6 +19,7 @@ from ivgf.io_formats import (
     encode_pgm_labels,
     encode_pnm,
     load_checkpoint,
+    load_config,
     parse_config,
     read_pgm_labels,
     read_pnm,
@@ -189,15 +194,15 @@ class TestCheckpoint:
         path.write_bytes(encode_checkpoint(store))
         loaded = load_checkpoint(path)
         assert loaded.names() == ["layer.w"]
-        assert loaded["layer.w"].data.shape == (2, 2)
-        assert np.array_equal(loaded["layer.w"].data, store["layer.w"].data)
+        assert loaded["layer.w"].shape == (2, 2)
+        assert np.array_equal(loaded["layer.w"], store["layer.w"].data)
 
     def test_values_survive_within_float32(self):
         rng = np.random.default_rng(2)
         arrays = {"a.w": rng.uniform(-3, 3, (4, 5)), "b.b": rng.uniform(-1, 1, 7)}
         loaded = decode_checkpoint(encode_checkpoint(self._store(arrays)))
         for name, arr in arrays.items():
-            assert np.array_equal(loaded[name].data, arr.astype(np.float32).astype(np.float64))
+            assert np.array_equal(loaded[name], arr.astype(np.float32).astype(np.float64))
 
     def test_name_order_preserved(self):
         arrays = {"z.w": np.ones(2), "a.w": np.zeros(3), "m.w": np.ones(1)}
@@ -232,8 +237,8 @@ class TestCheckpoint:
         data = bytearray(encode_checkpoint(self._store(arrays)))
         data[-6] ^= 0x01  # inside the last entry's payload
         loaded = decode_checkpoint(bytes(data))
-        diff_a = np.count_nonzero(loaded["a.w"].data != 0.5)
-        diff_b = np.count_nonzero(loaded["b.w"].data != 0.5)
+        diff_a = np.count_nonzero(loaded["a.w"] != 0.5)
+        diff_b = np.count_nonzero(loaded["b.w"] != 0.5)
         assert diff_a + diff_b == 1
 
     def test_non_finite_parameters_refused(self):
@@ -284,6 +289,69 @@ class TestCheckpoint:
         with pytest.raises(NonFiniteError, match="'b'"):
             store.load_arrays({"a": np.ones(2), "b": np.array([1.0, 2.0, bad])})
         assert not store["a"].data.any() and not store["b"].data.any()
+
+    def test_entries_are_read_only_float32_views_of_the_bytes(self):
+        data = encode_checkpoint(self._store({"a": np.ones((2, 3)), "b": np.zeros(4)}))
+        loaded = decode_checkpoint(data)
+        assert len(loaded) == 2
+        for name in loaded.names():
+            entry = loaded[name]
+            assert entry.dtype == np.dtype("<f4") and not entry.flags.writeable
+            assert not entry.flags.owndata  # a view, not a copy
+        assert loaded.arrays().keys() == {"a", "b"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=st.dictionaries(
+        st.text(max_size=8),
+        hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                   elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+        max_size=5,
+    ))
+    def test_round_trip_is_exact_on_float32_values_and_keeps_order(self, entries):
+        store = self._store({name: arr.astype(np.float64) for name, arr in entries.items()})
+        loaded = decode_checkpoint(encode_checkpoint(store))
+        assert loaded.names() == list(entries)
+        target = self._store({name: np.full(arr.shape, 7.0) for name, arr in entries.items()})
+        target.load_arrays(loaded.arrays())
+        for name, arr in entries.items():
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.astype("<f4").tobytes()  # keeps -0.0 apart from 0.0
+            assert target[name].data.tobytes() == arr.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("fault", ["nan", "shape"])
+    def test_refused_last_entry_of_a_real_file_leaves_every_parameter(self, tmp_path, fault):
+        cfg = Config(backbone_base_width=8, head_width=8, data_image_size=32)
+        saved = pipeline.build_model(cfg, 2).store
+        path = tmp_path / "model.ckpt"
+        if fault == "nan":
+            data = bytearray(encode_checkpoint(saved))
+            data[-4:] = struct.pack("<f", float("nan"))  # last value of the last entry
+            path.write_bytes(bytes(data))
+        else:
+            *head, last = saved.names()
+            arrays = {name: saved[name].data for name in head}
+            arrays[last] = saved[last].data[..., None]
+            path.write_bytes(encode_checkpoint(self._store(arrays)))
+        store = pipeline.build_model(cfg, 1).store
+        before = {name: p.data.tobytes() for name, p in store.items()}
+        error = NonFiniteError if fault == "nan" else DimensionError
+        with pytest.raises(error, match=repr(store.names()[-1])):
+            store.load_arrays(load_checkpoint(path).arrays())
+        assert {name: p.data.tobytes() for name, p in store.items()} == before
+
+    def test_load_peak_memory_is_about_one_file(self, tmp_path):
+        # the file's bytes are the one buffer: no float64 copy, no per-entry slices
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "toy.cfg")
+        store = pipeline.build_model(cfg, 1).store
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(encode_checkpoint(pipeline.build_model(cfg, 2).store))
+        tracemalloc.start()
+        try:
+            store.load_arrays(load_checkpoint(path).arrays())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * path.stat().st_size
 
 
 # lines that name real keys reach the value parsers and the cross-key checks;
