@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .rng import RngState
 from .tensor import Tensor
 
@@ -29,11 +29,11 @@ class AugConfig:
     def validate(self):
         rows, cols = self.grid
         if rows < 1 or cols < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.grid}")
+            raise ConfigError(f"grid must be at least 1x1, got {self.grid}")
         if not (0.0 <= self.p_cutmix <= 1.0 and 0.0 <= self.p_cutout <= 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
+            raise ConfigError("probabilities must lie in [0, 1]")
         if not 0 <= self.cutout_cells <= rows * cols:
-            raise ValueError(f"cutout_cells {self.cutout_cells} exceeds grid of {rows * cols} cells")
+            raise ConfigError(f"cutout_cells {self.cutout_cells} exceeds grid of {rows * cols} cells")
 
 
 @dataclass

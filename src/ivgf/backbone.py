@@ -1,8 +1,8 @@
 """Toy dual-branch encoder producing four fused feature scales.
 
 Per modality: two strided convs to /4 (stage 1), one to /8 (stage 2), a
-token embedding to /16 followed by `depth` pre-norm self-attention layers
-(stage 3), and a strided conv to /32 (stage 4). The enhancement block runs
+token embedding to /16 followed by `backbone.depth` pre-norm self-attention
+layers (stage 3), and a strided conv to /32 (stage 4). The enhancement block runs
 on the stage-1..3 outputs of both branches before they feed the next stage,
 token gating runs inside stage 3 after attention layers 3, 6 and 9, and
 cross-attention fusion produces one fused map per scale. Channel widths
@@ -24,6 +24,7 @@ from .rng import RngState
 from .tensor import Tensor, conv2d, feature_map, layer_norm, linear, relu, tokens
 
 TEM_LAYERS = (3, 6, 9)
+MLP_RATIO = 2  # each attention layer's MLP is MLP_RATIO times as wide as the layer
 
 
 @dataclass
@@ -41,10 +42,7 @@ class AttnLayer:
     out_b: Tensor
     ln2_gamma: Tensor
     ln2_beta: Tensor
-    mlp1_w: Tensor
-    mlp1_b: Tensor
-    mlp2_w: Tensor
-    mlp2_b: Tensor
+    mlp: fusion.LayerPair
 
 
 @dataclass
@@ -65,8 +63,6 @@ class BackboneParams:
     tem: fusion.TemParams
     agf: list  # AgfParams per scale 1..4
     heads: int
-    depth: int
-    widths: tuple
     fem_enabled: bool = True
     tem_enabled: bool = True
     agf_enabled: bool = True
@@ -80,34 +76,23 @@ class MultiScaleFeatures:
     fused: list  # [fxy] * 4
 
 
-def _conv(store, rng, name, c_in, c_out, k) -> Conv:
+def build_conv(store, rng, name, c_in, c_out, k) -> Conv:
     return Conv(
         w=P.weight(store, rng, f"{name}.w", (c_out, c_in, k, k), c_in * k * k),
         b=P.bias(store, f"{name}.b", c_out),
     )
 
 
-def _attn_layer(store, rng, name, c, mlp_ratio=2) -> AttnLayer:
-    hidden = mlp_ratio * c
+def _attn_layer(store, rng, name, c) -> AttnLayer:
     return AttnLayer(
         ln1_gamma=P.norm_gain(store, f"{name}.ln1.gamma", c),
         ln1_beta=P.bias(store, f"{name}.ln1.beta", c),
-        proj=fusion.AttnProj(
-            q_w=P.weight(store, rng, f"{name}.q.w", (c, c), c),
-            q_b=P.bias(store, f"{name}.q.b", c),
-            k_w=P.weight(store, rng, f"{name}.k.w", (c, c), c),
-            k_b=P.bias(store, f"{name}.k.b", c),
-            v_w=P.weight(store, rng, f"{name}.v.w", (c, c), c),
-            v_b=P.bias(store, f"{name}.v.b", c),
-        ),
+        proj=fusion.build_attn_proj(store, rng, name, c),
         out_w=P.weight(store, rng, f"{name}.out.w", (c, c), c),
         out_b=P.bias(store, f"{name}.out.b", c),
         ln2_gamma=P.norm_gain(store, f"{name}.ln2.gamma", c),
         ln2_beta=P.bias(store, f"{name}.ln2.beta", c),
-        mlp1_w=P.weight(store, rng, f"{name}.mlp1.w", (hidden, c), c),
-        mlp1_b=P.bias(store, f"{name}.mlp1.b", hidden),
-        mlp2_w=P.weight(store, rng, f"{name}.mlp2.w", (c, hidden), hidden),
-        mlp2_b=P.bias(store, f"{name}.mlp2.b", c),
+        mlp=fusion.build_layer_pair(store, rng, f"{name}.mlp1", f"{name}.mlp2", c, MLP_RATIO * c, c),
     )
 
 
@@ -120,12 +105,12 @@ def build_backbone(store: P.ParamStore, rng: RngState, cfg: Config) -> BackboneP
 
     def branch(tag):
         return Branch(
-            stem1=_conv(store, rng, f"{tag}.stem1", 3, stem_mid, 3),
-            stem2=_conv(store, rng, f"{tag}.stem2", stem_mid, w1, 3),
-            stage2=_conv(store, rng, f"{tag}.stage2", w1, w2, 3),
-            embed=_conv(store, rng, f"{tag}.embed", w2, w3, 3),
+            stem1=build_conv(store, rng, f"{tag}.stem1", 3, stem_mid, 3),
+            stem2=build_conv(store, rng, f"{tag}.stem2", stem_mid, w1, 3),
+            stage2=build_conv(store, rng, f"{tag}.stage2", w1, w2, 3),
+            embed=build_conv(store, rng, f"{tag}.embed", w2, w3, 3),
             layers=[_attn_layer(store, rng, f"{tag}.block{i}", w3) for i in range(cfg.backbone_depth)],
-            stage4=_conv(store, rng, f"{tag}.stage4", w3, w4, 3),
+            stage4=build_conv(store, rng, f"{tag}.stage4", w3, w4, 3),
         )
 
     return BackboneParams(
@@ -141,8 +126,6 @@ def build_backbone(store: P.ParamStore, rng: RngState, cfg: Config) -> BackboneP
             for i, c in enumerate((w1, w2, w3, w4))
         ],
         heads=cfg.agf_heads,
-        depth=cfg.backbone_depth,
-        widths=(w1, w2, w3, w4),
         fem_enabled=cfg.fem_enabled,
         tem_enabled=cfg.tem_enabled,
         agf_enabled=cfg.agf_enabled,
@@ -154,7 +137,7 @@ def _self_attention_block(rows: Tensor, layer: AttnLayer, heads: int, items: int
     attended = fusion.multi_head_attention(normed, normed, layer.proj, heads, items)
     rows = rows + linear(attended, layer.out_w, layer.out_b)
     normed = layer_norm(rows, layer.ln2_gamma, layer.ln2_beta)
-    return rows + linear(relu(linear(normed, layer.mlp1_w, layer.mlp1_b)), layer.mlp2_w, layer.mlp2_b)
+    return rows + linear(relu(linear(normed, layer.mlp.w1, layer.mlp.b1)), layer.mlp.w2, layer.mlp.b2)
 
 
 def _enhance(bb: BackboneParams, scale_idx: int, fx: Tensor, fy: Tensor):
@@ -196,9 +179,9 @@ def encoder_forward(x_img: Tensor, y_img: Tensor, bb: BackboneParams) -> MultiSc
     ex, ey = embed(f2x, bb.x), embed(f2y, bb.y)
     h3, w3 = ex.shape[-2:]
     tx, ty = tokens(ex), tokens(ey)  # [B*H3*W3, C] rows: the blocks and TEM are row-wise
-    for i in range(bb.depth):
-        tx = _self_attention_block(tx, bb.x.layers[i], bb.heads, items)
-        ty = _self_attention_block(ty, bb.y.layers[i], bb.heads, items)
+    for i, (layer_x, layer_y) in enumerate(zip(bb.x.layers, bb.y.layers)):
+        tx = _self_attention_block(tx, layer_x, bb.heads, items)
+        ty = _self_attention_block(ty, layer_y, bb.heads, items)
         if bb.tem_enabled and (i + 1) in TEM_LAYERS:
             tx, ty = fusion.tem_forward(tx, ty, bb.tem)
     f3x, f3y = _enhance(bb, 2, feature_map(tx, h3, w3, lead), feature_map(ty, h3, w3, lead))

@@ -63,8 +63,8 @@ def _blas_threads() -> str:
 def _write_results(out_dir: Path, command: str, cfg, seed: int, files: dict) -> None:
     """Write run_metadata.txt to out_dir, then each {path: bytes} of files.
 
-    Commands call this once every result is computed and encoded, so a
-    failed command leaves no directory.
+    `main` calls this once a command has returned every result encoded, so
+    a failed command leaves no directory.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -135,11 +135,11 @@ def _load_scene_dir(path: str, classes: int):
 
 
 # -- subcommands -----------------------------------------------------------------
+# Every command but gradcheck takes (args, config, seed) and returns
+# ({path: bytes}, stdout text); `main` writes the files, then prints the text.
 
 
-def cmd_forward(args) -> int:
-    cfg = io_formats.load_config(args.config)
-    seed = _resolve_seed(args.seed, cfg)
+def cmd_forward(args, cfg, seed: int):
     ir = _read_image(args.ir)
     vis = _read_image(args.vis)
     model = _load_model(cfg, seed, args.ckpt)
@@ -151,8 +151,7 @@ def cmd_forward(args) -> int:
         for i, ((fx, fy), fxy) in enumerate(zip(feats.pairs, feats.fused), start=1):
             for tag, fmap in (("x", fx), ("y", fy), ("xy", fxy)):
                 files[out_dir / f"feat_s{i}_{tag}.pgm"] = io_formats.encode_pnm(feature_projection(fmap)[None])
-    _write_results(out_dir, "forward", cfg, seed, files)
-    return EXIT_OK
+    return files, ""
 
 
 def cmd_gradcheck(args) -> int:
@@ -176,9 +175,7 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def cmd_train_toy(args) -> int:
-    cfg = io_formats.load_config(args.config)
-    seed = _resolve_seed(args.seed, cfg)
+def cmd_train_toy(args, cfg, seed: int):
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     out_dir = Path(args.out_dir)
@@ -197,13 +194,10 @@ def cmd_train_toy(args) -> int:
         out_dir / "loss_curve.csv": curve.encode("utf-8"),
         ckpt_path: io_formats.encode_checkpoint(model.store),
     }
-    _write_results(out_dir, "train-toy", cfg, seed, files)
-    return EXIT_OK
+    return files, ""
 
 
-def cmd_eval(args) -> int:
-    cfg = io_formats.load_config(args.config)
-    seed = _resolve_seed(args.seed, cfg)
+def cmd_eval(args, cfg, seed: int):
     scenes = _load_scene_dir(args.data, cfg.head_classes)
     model = _load_model(cfg, seed, args.ckpt)
     report = pipeline.evaluate(scenes, model, missing=args.missing)
@@ -213,14 +207,10 @@ def cmd_eval(args) -> int:
         out_dir / "report.txt": text.encode("utf-8"),
         out_dir / "report.csv": pipeline.report_csv(report).encode("utf-8"),
     }
-    _write_results(out_dir, "eval", cfg, seed, files)
-    print(text, end="")
-    return EXIT_OK
+    return files, text
 
 
-def cmd_augment(args) -> int:
-    cfg = io_formats.load_config(args.config)
-    seed = _resolve_seed(args.seed, cfg)
+def cmd_augment(args, cfg, seed: int):
     ir = _read_image(args.ir)
     vis = _read_image(args.vis)
     aug_cfg = pipeline.aug_config_from(cfg)
@@ -231,13 +221,10 @@ def cmd_augment(args) -> int:
         out_dir / "vis_aug.ppm": io_formats.encode_pnm(vis2.data.clip(0.0, 1.0)),
         out_dir / "record.txt": record.as_text().encode("utf-8"),
     }
-    _write_results(out_dir, "augment", cfg, seed, files)
-    return EXIT_OK
+    return files, ""
 
 
-def cmd_make_data(args) -> int:
-    cfg = io_formats.load_config(args.config)
-    seed = _resolve_seed(args.seed, cfg)
+def cmd_make_data(args, cfg, seed: int):
     count = args.count if args.count is not None else (
         cfg.data_train_scenes if args.split == "train" else cfg.data_eval_scenes
     )
@@ -251,8 +238,7 @@ def cmd_make_data(args) -> int:
         files[out_dir / f"{stem}_ir.ppm"] = io_formats.encode_pnm(scene.ir)
         files[out_dir / f"{stem}_vis.ppm"] = io_formats.encode_pnm(scene.vis)
         files[out_dir / f"{stem}_mask.pgm"] = io_formats.encode_pgm_labels(scene.mask)
-    _write_results(out_dir, "make-data", cfg, seed, files)
-    return EXIT_OK
+    return files, ""
 
 
 # -- wiring -----------------------------------------------------------------------
@@ -262,11 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ivgf", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_dir=True):
+    def common(p):
         p.add_argument("--config", default=None, help="config file (defaults apply when absent)")
         p.add_argument("--seed", type=int, default=None)
-        if out_dir:
-            p.add_argument("--out-dir", required=True)
+        p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("forward", help="run dual-modality inference on one image pair")
     common(p)
@@ -315,7 +300,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         # non-finite values are detected explicitly and reported as exit 5
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            if args.func is cmd_gradcheck:
+                return cmd_gradcheck(args)
+            cfg = io_formats.load_config(args.config)
+            seed = _resolve_seed(args.seed, cfg)
+            files, text = args.func(args, cfg, seed)
+        _write_results(Path(args.out_dir), args.command, cfg, seed, files)
+        print(text, end="")
+        return EXIT_OK
     except SystemExit as exc:  # argparse reports bad flags with code 2
         return int(exc.code or 0)
     except ConfigError as exc:

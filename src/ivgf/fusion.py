@@ -43,18 +43,10 @@ FEM_MODES = ("parallel", "serial", "channel_only", "spatial_only")
 
 
 @dataclass
-class ConvPair:
-    """Two 1x1 convs for one modality's spatial attention."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
-@dataclass
-class LinearPair:
-    """Two linear layers for one modality's channel attention."""
+class LayerPair:
+    """Two layers in -> hidden -> out with a ReLU between them: 1x1 convs in
+    FEM's spatial attention, linear layers in its channel attention, in TEM's
+    adapters and in the encoder's MLPs."""
 
     w1: Tensor
     b1: Tensor
@@ -64,19 +56,11 @@ class LinearPair:
 
 @dataclass
 class FemParams:
-    spatial_x: ConvPair
-    spatial_y: ConvPair
-    channel_x: LinearPair
-    channel_y: LinearPair
+    spatial_x: LayerPair
+    spatial_y: LayerPair
+    channel_x: LayerPair
+    channel_y: LayerPair
     mode: str = "parallel"
-
-
-@dataclass
-class Adapter:
-    down_w: Tensor
-    down_b: Tensor
-    up_w: Tensor
-    up_b: Tensor
 
 
 @dataclass
@@ -85,10 +69,9 @@ class TemParams:
     ln_beta: Tensor
     reduce_w: Tensor  # 2C -> C1
     reduce_b: Tensor
-    adapters: list
+    adapters: list  # LayerPair per adapter, C1 -> C1
     router_w: Tensor  # C1 -> K
     router_b: Tensor
-    prompt_pool_size: int = 2
 
 
 @dataclass
@@ -117,6 +100,32 @@ class AgfParams:
 # -- builders -----------------------------------------------------------------
 
 
+def build_layer_pair(store: P.ParamStore, rng: RngState, first: str, second: str,
+                     c_in: int, hidden: int, c_out: int, window: tuple = ()) -> LayerPair:
+    """Layers named `first` (c_in -> hidden) and `second` (hidden -> c_out).
+
+    window=(1, 1) makes both 1x1 convs, whose fan-in equals a linear layer's.
+    """
+    return LayerPair(
+        w1=P.weight(store, rng, f"{first}.w", (hidden, c_in) + window, c_in),
+        b1=P.bias(store, f"{first}.b", hidden),
+        w2=P.weight(store, rng, f"{second}.w", (c_out, hidden) + window, hidden),
+        b2=P.bias(store, f"{second}.b", c_out),
+    )
+
+
+def build_attn_proj(store: P.ParamStore, rng: RngState, prefix: str, c: int) -> AttnProj:
+    """Query, key and value projections c -> c named {prefix}.q, .k and .v."""
+    return AttnProj(
+        q_w=P.weight(store, rng, f"{prefix}.q.w", (c, c), c),
+        q_b=P.bias(store, f"{prefix}.q.b", c),
+        k_w=P.weight(store, rng, f"{prefix}.k.w", (c, c), c),
+        k_b=P.bias(store, f"{prefix}.k.b", c),
+        v_w=P.weight(store, rng, f"{prefix}.v.w", (c, c), c),
+        v_b=P.bias(store, f"{prefix}.v.b", c),
+    )
+
+
 def build_fem(store: P.ParamStore, rng: RngState, prefix: str, c: int, mode: str = "parallel") -> FemParams:
     if mode not in FEM_MODES:
         raise ConfigError(f"unknown fem mode {mode!r}, expected one of {FEM_MODES}")
@@ -124,20 +133,10 @@ def build_fem(store: P.ParamStore, rng: RngState, prefix: str, c: int, mode: str
     hidden = max(c // CHANNEL_HIDDEN_DIV, 1)
 
     def conv_pair(tag):
-        return ConvPair(
-            w1=P.weight(store, rng, f"{prefix}.{tag}.conv1.w", (reduced, c, 1, 1), c),
-            b1=P.bias(store, f"{prefix}.{tag}.conv1.b", reduced),
-            w2=P.weight(store, rng, f"{prefix}.{tag}.conv2.w", (1, reduced, 1, 1), reduced),
-            b2=P.bias(store, f"{prefix}.{tag}.conv2.b", 1),
-        )
+        return build_layer_pair(store, rng, f"{prefix}.{tag}.conv1", f"{prefix}.{tag}.conv2", c, reduced, 1, (1, 1))
 
     def linear_pair(tag):
-        return LinearPair(
-            w1=P.weight(store, rng, f"{prefix}.{tag}.lin1.w", (hidden, 2 * c), 2 * c),
-            b1=P.bias(store, f"{prefix}.{tag}.lin1.b", hidden),
-            w2=P.weight(store, rng, f"{prefix}.{tag}.lin2.w", (c, hidden), hidden),
-            b2=P.bias(store, f"{prefix}.{tag}.lin2.b", c),
-        )
+        return build_layer_pair(store, rng, f"{prefix}.{tag}.lin1", f"{prefix}.{tag}.lin2", 2 * c, hidden, c)
 
     return FemParams(
         spatial_x=conv_pair("spatial_x"),
@@ -152,12 +151,7 @@ def build_tem(store: P.ParamStore, rng: RngState, prefix: str, c: int, n_adapter
     c1 = c  # keep the per-modality width after reducing the 2C concat
     hidden = max(c1 // ADAPTER_HIDDEN_DIV, 1)
     adapters = [
-        Adapter(
-            down_w=P.weight(store, rng, f"{prefix}.adapter{i}.down.w", (hidden, c1), c1),
-            down_b=P.bias(store, f"{prefix}.adapter{i}.down.b", hidden),
-            up_w=P.weight(store, rng, f"{prefix}.adapter{i}.up.w", (c1, hidden), hidden),
-            up_b=P.bias(store, f"{prefix}.adapter{i}.up.b", c1),
-        )
+        build_layer_pair(store, rng, f"{prefix}.adapter{i}.down", f"{prefix}.adapter{i}.up", c1, hidden, c1)
         for i in range(n_adapters)
     ]
     k = max(n_adapters, 1)
@@ -175,20 +169,9 @@ def build_tem(store: P.ParamStore, rng: RngState, prefix: str, c: int, n_adapter
 def build_agf(store: P.ParamStore, rng: RngState, prefix: str, c: int, heads: int = 4) -> AgfParams:
     if heads < 1 or c % heads != 0:
         raise ConfigError(f"attention heads {heads} must divide channel width {c}")
-
-    def proj(tag):
-        return AttnProj(
-            q_w=P.weight(store, rng, f"{prefix}.{tag}.q.w", (c, c), c),
-            q_b=P.bias(store, f"{prefix}.{tag}.q.b", c),
-            k_w=P.weight(store, rng, f"{prefix}.{tag}.k.w", (c, c), c),
-            k_b=P.bias(store, f"{prefix}.{tag}.k.b", c),
-            v_w=P.weight(store, rng, f"{prefix}.{tag}.v.w", (c, c), c),
-            v_b=P.bias(store, f"{prefix}.{tag}.v.b", c),
-        )
-
     return AgfParams(
-        xy=proj("xy"),
-        yx=proj("yx"),
+        xy=build_attn_proj(store, rng, f"{prefix}.xy", c),
+        yx=build_attn_proj(store, rng, f"{prefix}.yx", c),
         heads=heads,
         merge_a_w=P.weight(store, rng, f"{prefix}.merge_a.w", (c, 2 * c, 1, 1), 2 * c),
         merge_a_b=P.bias(store, f"{prefix}.merge_a.b", c),
@@ -202,12 +185,12 @@ def build_agf(store: P.ParamStore, rng: RngState, prefix: str, c: int, heads: in
 # -- feature enhancement ------------------------------------------------------
 
 
-def spatial_attention(f: Tensor, pair: ConvPair) -> Tensor:
+def spatial_attention(f: Tensor, pair: LayerPair) -> Tensor:
     """Per-position weights in (0,1): sigmoid(conv1x1(relu(conv1x1(f))))."""
     return sigmoid(conv2d(relu(conv2d(f, pair.w1, pair.b1)), pair.w2, pair.b2))
 
 
-def cross_spatial_integration(fx: Tensor, fy: Tensor, px: ConvPair, py: ConvPair):
+def cross_spatial_integration(fx: Tensor, fy: Tensor, px: LayerPair, py: LayerPair):
     """Each modality keeps itself and gains the other's spatially weighted map."""
     if fx.shape != fy.shape:
         raise DimensionError(f"modality shapes differ: {fx.shape} vs {fy.shape}")
@@ -218,7 +201,7 @@ def cross_spatial_integration(fx: Tensor, fy: Tensor, px: ConvPair, py: ConvPair
     return fx + f_sy, fy + f_sx
 
 
-def channel_attention(f: Tensor, pair: LinearPair) -> Tensor:
+def channel_attention(f: Tensor, pair: LayerPair) -> Tensor:
     """Per-channel weights [C,1,1] from pooled avg/max descriptors; [B,C,1,1] for a stack."""
     c = f.shape[-3]
     f_avg = adaptive_pool(f, "avg", (1, 1))
@@ -261,7 +244,7 @@ def adapter_mixture(phi: Tensor, tem: TemParams) -> Tensor:
     weights = softmax_rows(linear(phi, tem.router_w, tem.router_b))  # [N,K], rows sum to 1
     out = phi
     for i, ad in enumerate(tem.adapters):
-        delta = linear(relu(linear(phi, ad.down_w, ad.down_b)), ad.up_w, ad.up_b)
+        delta = linear(relu(linear(phi, ad.w1, ad.b1)), ad.w2, ad.b2)
         out = out + delta * narrow(weights, 1, i, 1)
     return out
 
@@ -272,7 +255,7 @@ def tem_forward(tx: Tensor, ty: Tensor, tem: TemParams):
     merged = concat([tx, ty], axis=1)  # [N, 2C]
     phi = linear(layer_norm(merged, tem.ln_gamma, tem.ln_beta), tem.reduce_w, tem.reduce_b)
     phi = adapter_mixture(phi, tem)
-    prompts = sigmoid(adaptive_pool(phi, "avg", tem.prompt_pool_size))  # [N, 2]
+    prompts = sigmoid(adaptive_pool(phi, "avg", 2))  # [N, 2]: one prompt per modality
     prompt_x = narrow(prompts, 1, 0, 1)
     prompt_y = narrow(prompts, 1, 1, 1)
     return tx * prompt_x, ty * prompt_y

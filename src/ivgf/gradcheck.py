@@ -24,6 +24,7 @@ from .tensor import Tensor, named_gradients, no_grad
 DEFAULT_TOLERANCE = 1e-4
 COMPOSED_TOLERANCE = 1e-3
 FD_EPS = 1e-5
+HEAD_ENTRIES = 48  # entries check_head draws per trial, over all its tensors
 
 
 @dataclass
@@ -69,10 +70,13 @@ def _check_entries(loss_fn, tensors: dict, entries: dict, tolerance: float) -> t
     The loss is evaluated twice per entry; the kink test, the choice of
     difference and the errors then run over all of a tensor's entries at once.
     The worst entry is the first one with the largest error; an error that is
-    NaN counts as infinite, worse than any finite one.
+    NaN counts as infinite, worse than any finite one. A loss that is not
+    finite has no gradient to compare and fails as the loss itself.
     """
     loss = loss_fn()
     f0 = loss.item()
+    if not np.isfinite(f0):
+        return np.inf, "loss (non-finite)"
     grads = named_gradients(loss, tensors)
     del loss  # the tape holds every intermediate; free it before the FD loop
 
@@ -211,7 +215,7 @@ def _small_config() -> Config:
     )
 
 
-def check_head(seed: int, trials: int, entries_per_trial: int = 48) -> BlockResult:
+def check_head(seed: int, trials: int) -> BlockResult:
     cfg = _small_config()
     base = 8  # scale-1 spatial size for a 32x32 input
     shapes = [(c, base // 2**i, base // 2**i) for i, c in enumerate(cfg.widths())]
@@ -227,7 +231,7 @@ def check_head(seed: int, trials: int, entries_per_trial: int = 48) -> BlockResu
         pick = rng.derive("pick")
         names = sorted(tensors)
         entries: dict = {}
-        for _ in range(entries_per_trial):
+        for _ in range(HEAD_ENTRIES):
             name = names[pick.randint(len(names))]
             entries.setdefault(name, set()).add(pick.randint(tensors[name].size))
         return lambda: project(pipeline.seg_forward(feats, head)), tensors, entries, ""

@@ -164,7 +164,7 @@ def encode_checkpoint(store: ParamStore) -> bytes:
     return b"".join(chunks)
 
 
-class Checkpoint:
+class Checkpoint(dict):
     """A decoded checkpoint: read-only float32 arrays by name, in file order.
 
     Each array is a view into the bytes the checkpoint was decoded from, so
@@ -172,20 +172,8 @@ class Checkpoint:
     values are written, in `ParamStore.load_arrays`.
     """
 
-    def __init__(self, entries: dict[str, np.ndarray]):
-        self._entries = entries
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._entries[name]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def names(self) -> list[str]:
-        return list(self._entries)
-
     def arrays(self) -> dict[str, np.ndarray]:
-        return dict(self._entries)
+        return dict(self)
 
 
 def decode_checkpoint(data: bytes) -> Checkpoint:
@@ -208,7 +196,7 @@ def decode_checkpoint(data: bytes) -> Checkpoint:
     version, count = unpack("<II", "header")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    entries: dict[str, np.ndarray] = {}
+    entries = Checkpoint()
     for _ in range(count):
         (name_len,) = unpack("<I", "name length")
         start = take(name_len, "name")
@@ -230,7 +218,7 @@ def decode_checkpoint(data: bytes) -> Checkpoint:
         entries[name] = values
     if pos != len(data):
         raise FormatError(f"{len(data) - pos} trailing bytes after last entry", offset=pos)
-    return Checkpoint(entries)
+    return entries
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -32,9 +32,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __len__(self) -> int:
         return len(self._params)
 
@@ -46,9 +43,6 @@ class ParamStore:
 
     def values(self):
         return self._params.values()
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data for name, p in self._params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]):
         """Copy values in by name, in place; names and shapes must match exactly.

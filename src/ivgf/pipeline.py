@@ -37,31 +37,16 @@ IGNORE_LABEL = 255
 
 @dataclass
 class SegHead:
-    projections: list  # one 1x1 conv per scale, C_i -> width
-    classifier_w: Tensor
-    classifier_b: Tensor
-    width: int
-    classes: int
+    projections: list  # one 1x1 conv per scale, C_i -> head.width
+    classifier: backbone.Conv  # 1x1, head.width -> head.classes
 
 
 def build_head(store: P.ParamStore, rng: RngState, cfg: Config) -> SegHead:
-    width, k = cfg.head_width, cfg.head_classes
-
-    def conv1x1(name, c_in, c_out):
-        return backbone.Conv(
-            w=P.weight(store, rng, f"{name}.w", (c_out, c_in, 1, 1), c_in),
-            b=P.bias(store, f"{name}.b", c_out),
-        )
-
-    projections = [conv1x1(f"head.proj{i + 1}", c, width) for i, c in enumerate(cfg.widths())]
-    classifier = conv1x1("head.classifier", width, k)
-    return SegHead(
-        projections=projections,
-        classifier_w=classifier.w,
-        classifier_b=classifier.b,
-        width=width,
-        classes=k,
-    )
+    width = cfg.head_width
+    projections = [backbone.build_conv(store, rng, f"head.proj{i + 1}", c, width, 1)
+                   for i, c in enumerate(cfg.widths())]
+    classifier = backbone.build_conv(store, rng, "head.classifier", width, cfg.head_classes, 1)
+    return SegHead(projections=projections, classifier=classifier)
 
 
 def seg_forward(feats: backbone.MultiScaleFeatures, head: SegHead) -> Tensor:
@@ -72,15 +57,15 @@ def seg_forward(feats: backbone.MultiScaleFeatures, head: SegHead) -> Tensor:
         if i > 0:
             proj = upsample_nearest(proj, 2**i)
         total = proj if total is None else total + proj
-    logits = conv2d(relu(total), head.classifier_w, head.classifier_b)
+    logits = conv2d(relu(total), head.classifier.w, head.classifier.b)
     return upsample_nearest(logits, 4)
 
 
 # -- loss ------------------------------------------------------------------------
 
 
-def cross_entropy(logits: Tensor, mask: np.ndarray, ignore: int = IGNORE_LABEL) -> Tensor:
-    """Mean over non-ignored pixels of -log softmax at the true class.
+def cross_entropy(logits: Tensor, mask: np.ndarray) -> Tensor:
+    """Mean over pixels not labelled IGNORE_LABEL of -log softmax at the true class.
 
     [B,K,H,W] logits with [B,H,W] masks give the mean over the B items of
     each item's own mean, ((l_0 + l_1) + ...) / B; [K,H,W] logits with an
@@ -92,14 +77,14 @@ def cross_entropy(logits: Tensor, mask: np.ndarray, ignore: int = IGNORE_LABEL) 
     k = logits.shape[-3]
     masks = mask.reshape(-1, mask.shape[-2] * mask.shape[-1])  # [B, H*W]
     b = masks.shape[0]
-    valid = masks != ignore
+    valid = masks != IGNORE_LABEL
     counts = valid.sum(axis=1)
     for item, ids in enumerate(masks):
         if counts[item] == 0:
             raise FormatError(f"cross_entropy undefined for batch item {item}: every pixel carries the ignore label")
         bad = ids[valid[item] & ((ids < 0) | (ids >= k))]
         if bad.size:
-            raise FormatError(f"batch item {item}: mask ids must be in [0,{k}) or {ignore}, got {int(bad[0])}")
+            raise FormatError(f"batch item {item}: mask ids must be in [0,{k}) or {IGNORE_LABEL}, got {int(bad[0])}")
     keep = valid.reshape(-1)
     targets = masks.reshape(-1)[keep]
     n_valid = targets.size
@@ -137,12 +122,13 @@ class ConfusionMatrix:
         self.classes = classes
         self.counts = np.zeros((classes, classes), dtype=np.int64)
 
-    def update(self, truth: np.ndarray, pred: np.ndarray, ignore: int = IGNORE_LABEL):
+    def update(self, truth: np.ndarray, pred: np.ndarray):
+        """Count every pixel whose truth is not IGNORE_LABEL."""
         truth = np.asarray(truth).reshape(-1)
         pred = np.asarray(pred).reshape(-1)
         if truth.shape != pred.shape:
             raise DimensionError(f"truth/prediction sizes differ: {truth.shape} vs {pred.shape}")
-        keep = truth != ignore
+        keep = truth != IGNORE_LABEL
         kept_truth = truth[keep]
         for name, ids in (("truth", kept_truth), ("prediction", pred[keep])):
             if ids.size and (ids.min() < 0 or ids.max() >= self.classes):
@@ -232,6 +218,10 @@ def make_dataset(seed: int, split: str, count: int, size: int, classes: int = 4)
 # measured best, and 4 k or 128 k about 50% slower; the best size follows
 # the cache rather than the model, so it is a constant.
 ADAMW_CHUNK = 32768
+# Moment decay rates and the denominator's guard, as in Loshchilov & Hutter.
+ADAMW_BETA1 = 0.9
+ADAMW_BETA2 = 0.999
+ADAMW_EPS = 1e-8
 
 
 class AdamW:
@@ -244,12 +234,10 @@ class AdamW:
     them as its `out`. `step` updates all four arenas in one chunked pass.
     """
 
-    def __init__(self, store: P.ParamStore, lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: P.ParamStore, lr: float, weight_decay: float = 0.0):
         self.store = store
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.param_arena = store.pack()
         self._data = [p.data for p in store.values()]  # the views each .data must still be
@@ -271,7 +259,7 @@ class AdamW:
             if g is not view:
                 view[...] = g
         self.t += 1
-        b1, b2, eps, lr = self.beta1, self.beta2, self.eps, self.lr
+        b1, b2, eps, lr = ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS, self.lr
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         decay = lr * self.weight_decay
@@ -342,7 +330,7 @@ def train_step(model: Model, batch, optimizer: AdamW, aug_cfg, aug_rng: RngState
     irs, viss = [], []
     for slot, scene in enumerate(batch):
         ir, vis = scene.images
-        if aug_cfg is not None and aug_cfg.enabled:
+        if aug_cfg.enabled:
             ir, vis, _ = augment.cma_apply(ir, vis, aug_cfg, aug_rng.derive(slot))
         irs.append(ir.data)
         viss.append(vis.data)
@@ -399,7 +387,7 @@ def evaluate(dataset, model: Model, missing: str = "none"):
     """Accumulate a confusion matrix over the dataset and report IoU."""
     if not dataset:
         raise ValueError("cannot evaluate an empty dataset")
-    cm = ConfusionMatrix(model.head.classes)
+    cm = ConfusionMatrix(model.config.head_classes)
     for scene in dataset:
         pred = predict(model, scene.ir, scene.vis, missing)
         cm.update(scene.mask, pred)

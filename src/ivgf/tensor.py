@@ -76,12 +76,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    def __truediv__(self, c):
-        if isinstance(c, Tensor):
-            raise TypeError("tensor/tensor division is not a supported kernel")
-        inv = 1.0 / float(c)
-        return _node(self.data * inv, "divs", (self,), lambda g: (g * inv,))
-
     def sum(self) -> "Tensor":
         x = self
 

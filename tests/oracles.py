@@ -3,7 +3,7 @@
 These stay deliberately independent of the package kernels: plain numpy
 arrays in, plain arrays out, no calls into the tape. They exist so that
 every production code path can be compared against a second, dumber
-derivation of the same math. Two exceptions: inject_sign_fault breaks a
+derivation of the same math. Two exceptions: inject_fault breaks a
 kernel's backward on purpose, so tests can show the gradient checks
 notice, and check_entries_naive takes its analytic gradients from the tape,
 because what it re-derives is the gradient check's scoring, not the
@@ -195,12 +195,12 @@ def tem_naive(tx, ty, tem):
         router = softmax_naive(linear_naive(phi, tem.router_w.data, tem.router_b.data))
         refined = phi.copy()
         for k, ad in enumerate(tem.adapters):
-            hidden = relu_naive(linear_naive(phi, ad.down_w.data, ad.down_b.data))
-            delta = linear_naive(hidden, ad.up_w.data, ad.up_b.data)
+            hidden = relu_naive(linear_naive(phi, ad.w1.data, ad.b1.data))
+            delta = linear_naive(hidden, ad.w2.data, ad.b2.data)
             for i in range(n):
                 refined[i] += delta[i] * router[i, k]
         phi = refined
-    prompts = sigmoid_naive(adaptive_pool_rows_naive(phi, "avg", tem.prompt_pool_size))
+    prompts = sigmoid_naive(adaptive_pool_rows_naive(phi, "avg", 2))
     out_x = np.zeros_like(tx)
     out_y = np.zeros_like(ty)
     for i in range(n):
@@ -362,10 +362,13 @@ def check_entries_naive(loss_fn, tensors, entries, tolerance, kinks=None):
     more than the tolerance, the closest of central, right and left to the
     tape entry (the first on a tie), and "name[i]" is appended to `kinks`
     when given. A NaN error counts as infinite. Returns (worst error,
-    "name[i]") of the first entry with the largest error, or (0.0, "-").
+    "name[i]") of the first entry with the largest error, or (0.0, "-");
+    a loss that is not finite returns (inf, "loss (non-finite)").
     """
     loss = loss_fn()
     f0 = loss.item()
+    if not math.isfinite(f0):
+        return math.inf, "loss (non-finite)"
     grads = named_gradients(loss, tensors)
     del loss
 
@@ -392,12 +395,19 @@ def check_entries_naive(loss_fn, tensors, entries, tolerance, kinks=None):
     return worst_err, worst_name
 
 
-def inject_sign_fault(monkeypatch, op):
-    """Make every `op` node built under this patch negate its parent gradients.
+FAULTS = {
+    "negate": np.negative,
+    "zero": np.zeros_like,
+    "nan": lambda g: np.full_like(g, np.nan),
+}
 
-    This simulates a sign bug in one kernel's backward, which the gradient
-    checks must catch. It wraps `_node` where kernels look it up: in tensor,
-    and in pipeline, which imports it by name for cross_entropy.
+
+def inject_fault(monkeypatch, op, transform):
+    """Make every `op` node built under this patch pass transform(g) for each parent gradient g.
+
+    This simulates a bug in one kernel's backward (see FAULTS), which the
+    gradient checks must catch. It wraps `_node` where kernels look it up:
+    in tensor, and in pipeline, which imports it by name for cross_entropy.
     """
     make_node = tensor._node
 
@@ -406,7 +416,7 @@ def inject_sign_fault(monkeypatch, op):
             correct = backward_fn
 
             def backward_fn(g):
-                return tuple(None if pg is None else -pg for pg in correct(g))
+                return tuple(None if pg is None else transform(pg) for pg in correct(g))
 
         return make_node(data, node_op, parents, backward_fn)
 

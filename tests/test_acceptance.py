@@ -337,7 +337,7 @@ def test_criterion_8_format_round_trips(tmp_path):
     path = tmp_path / "rt.ckpt"
     path.write_bytes(io_formats.encode_checkpoint(store))
     loaded = io_formats.load_checkpoint(path)
-    ckpt_ok = loaded.names() == store.names() and all(
+    ckpt_ok = list(loaded) == store.names() and all(
         np.array_equal(loaded[n], store[n].data.astype(np.float32).astype(np.float64))
         for n in store.names()
     )

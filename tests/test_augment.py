@@ -12,7 +12,7 @@ from ivgf.augment import (
     sample_cutmix,
     sample_cutout,
 )
-from ivgf.errors import DimensionError
+from ivgf.errors import ConfigError, DimensionError
 from ivgf.rng import RngState
 from ivgf.tensor import Tensor
 
@@ -195,3 +195,10 @@ def test_config_validation():
         AugConfig(cutout_cells=99).validate()
     with pytest.raises(ValueError):
         AugConfig(grid=(0, 4)).validate()
+
+
+@pytest.mark.parametrize("cfg", [AugConfig(p_cutmix=1.5), AugConfig(p_cutout=-0.1), AugConfig(cutout_cells=99),
+                                 AugConfig(grid=(0, 4))])
+def test_invalid_config_is_a_config_error(cfg):
+    with pytest.raises(ConfigError):
+        cfg.validate()

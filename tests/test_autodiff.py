@@ -301,7 +301,7 @@ class TestKernelGradients:
         row = _leaf(rng, (1, 4))  # broadcast path
 
         def build():
-            z = (x * y + row + x * -0.5) / 2.0
+            z = (x * y + row + x * -0.5) * 0.5
             z = relu(z) + sigmoid(z)
             first_cols = reshape(feature_map(narrow(tokens(reshape(z, (3, 4, 1))), 0, 0, 2), 2, 1), (3, 2))
             z = concat([z, first_cols * narrow(z, 1, 2, 2)], axis=1)  # [3,6]

@@ -155,7 +155,7 @@ def _plain_branch(img, br, heads):
             fusion.multi_head_attention(normed, normed, layer.proj, heads), layer.out_w, layer.out_b
         )
         normed = layer_norm(tokens, layer.ln2_gamma, layer.ln2_beta)
-        tokens = tokens + linear(relu(linear(normed, layer.mlp1_w, layer.mlp1_b)), layer.mlp2_w, layer.mlp2_b)
+        tokens = tokens + linear(relu(linear(normed, layer.mlp.w1, layer.mlp.b1)), layer.mlp.w2, layer.mlp.b2)
     f3 = Tensor(np.ascontiguousarray(tokens.data.T).reshape(c, h, w))
     f4 = conv2d(f3, br.stage4.w, br.stage4.b, 2, 1)
     return [f1, f2, f3, f4]

@@ -13,7 +13,7 @@ import pytest
 
 from ivgf import cli, io_formats, pipeline
 from ivgf.rng import RngState
-from oracles import inject_sign_fault
+from oracles import FAULTS, inject_fault
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -139,12 +139,14 @@ class TestGradcheckCommand:
             assert block in out
 
     def test_injected_sign_error_is_caught_and_named(self, capsys, monkeypatch):
-        for op, blocks in (("sigmoid", ("fem", "tem", "agf")), ("attention", ("agf",))):
-            with monkeypatch.context() as patch:
-                inject_sign_fault(patch, op)
-                assert cli.main(["gradcheck", "--trials", "1", "--seed", "5"]) == 1, op
-            err = capsys.readouterr().err
-            assert any(block in err for block in blocks), (op, err)
+        # a negated, zeroed or NaN backward in either op fails a block that runs it
+        for fault, transform in FAULTS.items():
+            for op, blocks in (("sigmoid", ("fem", "tem", "agf")), ("attention", ("agf",))):
+                with monkeypatch.context() as patch:
+                    inject_fault(patch, op, transform)
+                    assert cli.main(["gradcheck", "--trials", "1", "--seed", "5"]) == 1, (fault, op)
+                err = capsys.readouterr().err
+                assert any(block in err for block in blocks), (fault, op, err)
 
     @pytest.mark.parametrize("seed", [0, 17, 23])
     def test_agf_block_sees_an_attention_fault(self, seed, monkeypatch):
@@ -152,7 +154,7 @@ class TestGradcheckCommand:
         # gradient reached the attention and a sign fault there passed
         from ivgf import gradcheck
 
-        inject_sign_fault(monkeypatch, "attention")
+        inject_fault(monkeypatch, "attention", FAULTS["negate"])
         assert not gradcheck.check_agf(seed, 1).ok
 
     def test_relu_kink_inside_the_step_is_not_a_violation(self, capsys):

@@ -1,12 +1,13 @@
 """The gradient-check suite's call path and its scoring of finite differences."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from ivgf import gradcheck, tensor
+from ivgf import cli, fusion, gradcheck, tensor
 from ivgf.errors import ConfigError
 from ivgf.tensor import Tensor, named_gradients, sigmoid
 
@@ -92,3 +93,35 @@ def test_nan_tape_gradients_fail_the_block(monkeypatch, check):
     result = gradcheck.check_tem(0, 1)
     assert result.max_err == np.inf and result.worst != "-"
     assert not result.ok
+
+
+@pytest.mark.parametrize("check", [gradcheck._check_entries, oracles.check_entries_naive],
+                         ids=["vectorized", "scalar_oracle"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_trial_loss_is_named_without_differentiating_it(monkeypatch, check, bad):
+    x = Tensor(np.ones(3), requires_grad=True)
+    evaluations = []
+
+    def loss_fn():
+        evaluations.append(1)
+        return (x * bad).sum()
+
+    def no_gradients(*args, **kwargs):
+        raise AssertionError("a non-finite loss was differentiated")
+
+    monkeypatch.setattr(gradcheck, "named_gradients", no_gradients)
+    monkeypatch.setattr(oracles, "named_gradients", no_gradients)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning from scoring a non-finite loss
+        assert check(loss_fn, {"x": x}, {"x": {0, 1, 2}}, gradcheck.DEFAULT_TOLERANCE) == (np.inf, "loss (non-finite)")
+    assert len(evaluations) == 1  # no finite-difference evaluations
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_trial_loss_fails_its_block_in_the_cli(monkeypatch, capsys):
+    tem_forward = fusion.tem_forward
+    monkeypatch.setattr(fusion, "tem_forward", lambda tx, ty, tem: [t * np.inf for t in tem_forward(tx, ty, tem)])
+    result = gradcheck.check_tem(0, 1)
+    assert (result.max_err, result.worst, result.ok) == (np.inf, "loss (non-finite)", False)
+    assert cli.main(["gradcheck", "--trials", "1"]) == 1
+    assert "tem (loss (non-finite), err inf)" in capsys.readouterr().err

@@ -102,6 +102,23 @@ class TestWritePnm:
         path.write_bytes(encode_pgm_labels(ids))
         assert np.array_equal(read_pgm_labels(path), ids)
 
+    @settings(max_examples=50, deadline=None)
+    @given(pixels=hnp.arrays(np.uint8, st.tuples(st.sampled_from([1, 3]), st.integers(1, 6), st.integers(1, 6))))
+    def test_8_bit_images_round_trip_exactly(self, pixels):
+        data = encode_pnm(pixels / 255.0)
+        assert data[:2] == (b"P5" if pixels.shape[0] == 1 else b"P6")
+        back = read_pnm(data).data  # P5 comes back as three equal channels
+        assert np.array_equal(back, np.broadcast_to(pixels, back.shape) / 255.0)
+        assert encode_pnm(back[: pixels.shape[0]]) == data
+
+    @settings(max_examples=50, deadline=None)
+    @given(ids=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)))
+    def test_8_bit_label_maps_round_trip_exactly(self, tmp_path_factory, ids):
+        path = tmp_path_factory.getbasetemp() / "labels.pgm"
+        path.write_bytes(encode_pgm_labels(ids))
+        back = read_pgm_labels(path)
+        assert back.dtype == np.int64 and np.array_equal(back, ids)
+
 
 # headers close to valid ones reach the size, maxval, separator and payload
 # checks; raw bytes cover everything else
@@ -193,7 +210,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         path.write_bytes(encode_checkpoint(store))
         loaded = load_checkpoint(path)
-        assert loaded.names() == ["layer.w"]
+        assert list(loaded) == ["layer.w"]
         assert loaded["layer.w"].shape == (2, 2)
         assert np.array_equal(loaded["layer.w"], store["layer.w"].data)
 
@@ -207,7 +224,7 @@ class TestCheckpoint:
     def test_name_order_preserved(self):
         arrays = {"z.w": np.ones(2), "a.w": np.zeros(3), "m.w": np.ones(1)}
         loaded = decode_checkpoint(encode_checkpoint(self._store(arrays)))
-        assert loaded.names() == ["z.w", "a.w", "m.w"]
+        assert list(loaded) == ["z.w", "a.w", "m.w"]
 
     def test_bad_magic_rejected(self):
         data = bytearray(encode_checkpoint(self._store({"a": np.ones(2)})))
@@ -294,7 +311,7 @@ class TestCheckpoint:
         data = encode_checkpoint(self._store({"a": np.ones((2, 3)), "b": np.zeros(4)}))
         loaded = decode_checkpoint(data)
         assert len(loaded) == 2
-        for name in loaded.names():
+        for name in loaded:
             entry = loaded[name]
             assert entry.dtype == np.dtype("<f4") and not entry.flags.writeable
             assert not entry.flags.owndata  # a view, not a copy
@@ -310,7 +327,7 @@ class TestCheckpoint:
     def test_round_trip_is_exact_on_float32_values_and_keeps_order(self, entries):
         store = self._store({name: arr.astype(np.float64) for name, arr in entries.items()})
         loaded = decode_checkpoint(encode_checkpoint(store))
-        assert loaded.names() == list(entries)
+        assert list(loaded) == list(entries)
         target = self._store({name: np.full(arr.shape, 7.0) for name, arr in entries.items()})
         target.load_arrays(loaded.arrays())
         for name, arr in entries.items():

@@ -268,7 +268,7 @@ class TestParameterArena:
             step(grads)
 
         opt.step = recording_step
-        pipeline.train_step(model, pipeline.make_dataset(0, "train", 2, 32), opt, None, None)
+        pipeline.train_step(model, pipeline.make_dataset(0, "train", 2, 32), opt, augment.AugConfig(enabled=False), None)
         assert set(seen) == set(model.store.names())
         for name, p in model.store.items():
             assert np.shares_memory(p.data, opt.param_arena), name
@@ -278,7 +278,7 @@ class TestParameterArena:
         model = pipeline.build_model(SMALL, seed=0)
         opt = pipeline.AdamW(model.store, lr=1e-3)
         saved = pipeline.build_model(SMALL, seed=1)
-        model.store.load_arrays(saved.store.arrays())
+        model.store.load_arrays({name: p.data for name, p in saved.store.items()})
         assert np.array_equal(opt.param_arena, np.concatenate([p.data.ravel() for p in saved.store.values()]))
         gradcheck._randomize(model.store, RngState(2))
         for name, p in model.store.items():
@@ -335,7 +335,7 @@ class TestTraining:
         per_scene = losses[0]
         for loss in losses[1:]:
             per_scene = per_scene + loss
-        per_scene = per_scene / size
+        per_scene = per_scene * (1.0 / size)
         expected = named_gradients(per_scene, params)
 
         opt = pipeline.AdamW(model.store, lr=1e-3)
@@ -361,7 +361,7 @@ class TestTraining:
         scenes = pipeline.make_dataset(0, "train", 1, 32)
         opt = pipeline.AdamW(model.store, lr=1e-3)
         with pytest.raises(NonFiniteError, match="conv2d|non-finite"):
-            pipeline.train_step(model, scenes, opt, None, None)
+            pipeline.train_step(model, scenes, opt, augment.AugConfig(enabled=False), None)
 
 
 class TestEvaluate:
@@ -401,7 +401,7 @@ class TestEvaluate:
     def test_predict_and_evaluate_match_the_taped_forward(self, missing):
         model = pipeline.build_model(SMALL, seed=6)
         scenes = pipeline.make_dataset(8, "eval", 2, 32)
-        cm = pipeline.ConfusionMatrix(model.head.classes)
+        cm = pipeline.ConfusionMatrix(model.config.head_classes)
         for scene in scenes:
             expected = pipeline.model_forward(model, scene.ir, scene.vis, missing)[1].data.argmax(0)
             assert np.array_equal(pipeline.predict(model, scene.ir, scene.vis, missing), expected)
