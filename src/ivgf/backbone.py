@@ -98,9 +98,6 @@ def _attn_layer(store, rng, name, c) -> AttnLayer:
 
 def build_backbone(store: P.ParamStore, rng: RngState, cfg: Config) -> BackboneParams:
     w1, w2, w3, w4 = cfg.widths()
-    if w1 % cfg.agf_heads != 0:
-        raise ConfigError(f"attention heads {cfg.agf_heads} must divide channel width {w1}")
-
     stem_mid = max(w1 // 2, 1)
 
     def branch(tag):
@@ -194,15 +191,18 @@ def encoder_forward(x_img: Tensor, y_img: Tensor, bb: BackboneParams) -> MultiSc
     return MultiScaleFeatures(pairs=pairs, fused=fused)
 
 
+MISSING_MODES = ("ir", "vis", "none")  # the modality absent at inference, if any
+
+
 def substitute_missing(x_img: Tensor, y_img: Tensor, missing: str):
     """Stand in for an absent modality with the other modality's image."""
-    if missing == "none":
-        return x_img, y_img
+    if missing not in MISSING_MODES:
+        raise ConfigError(f"missing must be ir, vis or none, got {missing!r}")
     if missing == "ir":
         return y_img, y_img
     if missing == "vis":
         return x_img, x_img
-    raise ConfigError(f"missing must be ir, vis or none, got {missing!r}")
+    return x_img, y_img
 
 
 def feature_projection(fmap: Tensor) -> np.ndarray:

@@ -3,8 +3,9 @@ preview, toy training, evaluation (with missing-modality substitution), and
 synthetic data generation.
 
 Exit codes are a stable contract:
-  0 success, 1 gradient-check violation, 2 config or argument error,
-  3 I/O or format error, 4 shape error, 5 non-finite loss or parameter.
+  0 success, 1 gradient-check violation, 2 config or argument error
+  (out of memory included), 3 I/O or format error, 4 shape error,
+  5 non-finite loss or parameter.
 
 Seed precedence: --seed flag > IVGF_SEED env var > train.seed config key.
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, augment, gradcheck, io_formats, pipeline, tensor
-from .backbone import feature_projection
+from .backbone import MISSING_MODES, feature_projection
 from .errors import ConfigError, DimensionError, FormatError, NonFiniteError
 from .rng import RngState
 
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True, help="directory of *_ir.ppm / *_vis.ppm / *_mask.pgm scenes")
-    p.add_argument("--missing", choices=("ir", "vis", "none"), default="none")
+    p.add_argument("--missing", choices=MISSING_MODES, default="none")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("augment", help="preview cutout&mix augmentation on one image pair")
@@ -312,6 +313,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # sizes the config asks for that this machine cannot hold
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -24,6 +24,8 @@ from .tensor import Tensor, named_gradients, no_grad
 DEFAULT_TOLERANCE = 1e-4
 COMPOSED_TOLERANCE = 1e-3
 FD_EPS = 1e-5
+REL_ERROR_FLOOR = 1e-3
+PARAM_SCALE = 0.6  # each trial draws every parameter from U(-PARAM_SCALE, PARAM_SCALE)
 HEAD_ENTRIES = 48  # entries check_head draws per trial, over all its tensors
 
 
@@ -39,13 +41,13 @@ class BlockResult:
         return self.max_err <= self.tolerance
 
 
-def rel_errors(a, b, floor: float = 1e-3) -> np.ndarray:
-    """Elementwise |a-b| / max(|a|, |b|, floor).
+def rel_errors(a, b) -> np.ndarray:
+    """Elementwise |a-b| / max(|a|, |b|, REL_ERROR_FLOOR).
 
     The floor guards the quotient where both gradients are ~0, where central
     differences only carry roundoff noise.
     """
-    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_ERROR_FLOOR)
 
 
 def finite_diff_pair(f, x: Tensor, i: int, eps: float) -> tuple[float, float]:
@@ -112,9 +114,9 @@ def _all_entries(tensors: dict) -> dict:
     return {name: range(t.size) for name, t in tensors.items()}
 
 
-def _randomize(store: ParamStore, rng: RngState, scale: float = 0.6):
+def _randomize(store: ParamStore, rng: RngState):
     for name, p in store.items():
-        p.data[...] = rng.derive("randomize", name).fill_uniform(p.data.shape, -scale, scale)
+        p.data[...] = rng.derive("randomize", name).fill_uniform(p.data.shape, -PARAM_SCALE, PARAM_SCALE)
 
 
 def _input(rng: RngState, key, shape) -> Tensor:

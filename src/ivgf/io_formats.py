@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError, NonFiniteError
+from .fusion import FEM_MODES
 from .params import ParamStore
 from .tensor import Tensor
 
@@ -122,6 +123,10 @@ def encode_pnm(image: Tensor | np.ndarray) -> bytes:
     else:
         payload = quantized.transpose(1, 2, 0).tobytes()
     return header + payload
+
+
+# the label-map id that marks a pixel as unlabelled: no loss, no mIoU count
+IGNORE_LABEL = 255
 
 
 def encode_pgm_labels(ids: np.ndarray) -> bytes:
@@ -263,113 +268,77 @@ class Config:
     def dump(self) -> str:
         """Canonical `key = value` lines, sorted, for run metadata."""
         lines = []
-        for key, (field_name, _spec) in sorted(_KEYS.items()):
-            value = getattr(self, field_name)
+        for key in sorted(_KEYS):
+            value = getattr(self, key.replace(".", "_"))
             if isinstance(value, bool):
                 text = "true" if value else "false"
-            elif isinstance(value, float):
-                text = repr(value)
             else:
-                text = str(value)
+                text = str(value)  # for a float, its shortest round-trip form
             lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
 
 
 def _parse_bool(raw: str):
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ValueError("expected true or false")
+    if raw not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return raw == "true"
 
 
-def _int_at_least(minimum):
+def _number(cast, lo=None, hi=None, above=None):
+    """Parse `cast(raw)`; a value not finite, outside [lo, hi] or not above `above` fails with one rule."""
+    if hi is not None:
+        rule = f"must lie in [{lo}, {hi}]"
+    elif lo is not None:
+        rule = f"must be >= {lo}"
+    elif above is not None:
+        rule = f"must be > {above}"
+    else:
+        rule = "must be finite"
+
     def parse(raw):
-        value = int(raw)
-        if value < minimum:
-            raise ValueError(f"must be >= {minimum}")
+        value = cast(raw)
+        # only floats can be non-finite, and math.isfinite overflows on ints beyond float range
+        if ((cast is float and not math.isfinite(value)) or (lo is not None and value < lo)
+                or (hi is not None and value > hi) or (above is not None and value <= above)):
+            raise ValueError(rule)
         return value
 
     return parse
 
 
-def _int_in(lo, hi):
-    def parse(raw):
-        value = int(raw)
-        if not lo <= value <= hi:
-            raise ValueError(f"must lie in [{lo}, {hi}]")
-        return value
-
-    return parse
+def _parse_fem_mode(raw: str):
+    if raw not in FEM_MODES:
+        raise ValueError(f"expected one of {', '.join(FEM_MODES)}")
+    return raw
 
 
-def _real_in(lo, hi):
-    def parse(raw):
-        value = float(raw)
-        if not math.isfinite(value) or not lo <= value <= hi:
-            raise ValueError(f"must lie in [{lo}, {hi}]")
-        return value
-
-    return parse
-
-
-def _real_positive(raw):
-    value = float(raw)
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError("must be > 0")
-    return value
-
-
-def _real_nonneg(raw):
-    value = float(raw)
-    if not math.isfinite(value) or value < 0:
-        raise ValueError("must be >= 0")
-    return value
-
-
-def _real_finite(raw):
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
-
-
-def _enum(*tokens):
-    def parse(raw):
-        if raw not in tokens:
-            raise ValueError(f"expected one of {', '.join(tokens)}")
-        return raw
-
-    return parse
-
-
-# dotted key -> (Config field, value parser)
+# dotted key -> value parser; the Config field is the key with "." -> "_"
 _KEYS = {
-    "fem.enabled": ("fem_enabled", _parse_bool),
-    "fem.mode": ("fem_mode", _enum("parallel", "serial", "channel_only", "spatial_only")),
-    "tem.enabled": ("tem_enabled", _parse_bool),
-    "tem.adapters": ("tem_adapters", _int_at_least(0)),
-    "agf.enabled": ("agf_enabled", _parse_bool),
-    "agf.heads": ("agf_heads", _int_at_least(1)),
-    "backbone.base_width": ("backbone_base_width", _int_at_least(1)),
-    "backbone.depth": ("backbone_depth", _int_at_least(1)),
-    "head.width": ("head_width", _int_at_least(1)),
-    # class ids 0..classes-1 must stay below the ignore label 255
-    "head.classes": ("head_classes", _int_in(2, 255)),
-    "aug.enabled": ("aug_enabled", _parse_bool),
-    "aug.grid_rows": ("aug_grid_rows", _int_at_least(1)),
-    "aug.grid_cols": ("aug_grid_cols", _int_at_least(1)),
-    "aug.p_cutmix": ("aug_p_cutmix", _real_in(0.0, 1.0)),
-    "aug.p_cutout": ("aug_p_cutout", _real_in(0.0, 1.0)),
-    "aug.cutout_cells": ("aug_cutout_cells", _int_at_least(0)),
-    "aug.fill_value": ("aug_fill_value", _real_finite),
-    "train.lr": ("train_lr", _real_positive),
-    "train.weight_decay": ("train_weight_decay", _real_nonneg),
-    "train.batch_size": ("train_batch_size", _int_at_least(1)),
-    "train.seed": ("train_seed", lambda raw: int(raw)),
-    "data.train_scenes": ("data_train_scenes", _int_at_least(1)),
-    "data.eval_scenes": ("data_eval_scenes", _int_at_least(1)),
-    "data.image_size": ("data_image_size", _int_at_least(32)),
+    "fem.enabled": _parse_bool,
+    "fem.mode": _parse_fem_mode,
+    "tem.enabled": _parse_bool,
+    "tem.adapters": _number(int, lo=0),
+    "agf.enabled": _parse_bool,
+    "agf.heads": _number(int, lo=1),
+    "backbone.base_width": _number(int, lo=1),
+    "backbone.depth": _number(int, lo=1),
+    "head.width": _number(int, lo=1),
+    # class ids 0..classes-1 must stay below the ignore label
+    "head.classes": _number(int, lo=2, hi=IGNORE_LABEL),
+    "aug.enabled": _parse_bool,
+    "aug.grid_rows": _number(int, lo=1),
+    "aug.grid_cols": _number(int, lo=1),
+    "aug.p_cutmix": _number(float, lo=0.0, hi=1.0),
+    "aug.p_cutout": _number(float, lo=0.0, hi=1.0),
+    "aug.cutout_cells": _number(int, lo=0),
+    "aug.fill_value": _number(float),
+    "train.lr": _number(float, above=0),
+    "train.weight_decay": _number(float, lo=0),
+    "train.batch_size": _number(int, lo=1),
+    "train.seed": _number(int),
+    "data.train_scenes": _number(int, lo=1),
+    "data.eval_scenes": _number(int, lo=1),
+    "data.image_size": _number(int, lo=32),
 }
 
 
@@ -395,9 +364,8 @@ def parse_config(text: str) -> Config:
         if key in key_lines:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} (first set on line {key_lines[key]})")
         key_lines[key] = lineno
-        field_name, parse = _KEYS[key]
         try:
-            values[field_name] = parse(raw_value)
+            values[key.replace(".", "_")] = _KEYS[key](raw_value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     cfg = Config(**values)

@@ -16,7 +16,7 @@ import numpy as np
 from . import augment, backbone
 from . import params as P
 from .errors import DetachedParameterError, DimensionError, FormatError, NonFiniteError
-from .io_formats import Config
+from .io_formats import IGNORE_LABEL, Config
 from .rng import RngState
 from .tensor import (
     Tensor,
@@ -28,8 +28,6 @@ from .tensor import (
     trace,
     upsample_nearest,
 )
-
-IGNORE_LABEL = 255
 
 
 # -- segmentation head ---------------------------------------------------------
@@ -129,11 +127,12 @@ class ConfusionMatrix:
         if truth.shape != pred.shape:
             raise DimensionError(f"truth/prediction sizes differ: {truth.shape} vs {pred.shape}")
         keep = truth != IGNORE_LABEL
-        kept_truth = truth[keep]
-        for name, ids in (("truth", kept_truth), ("prediction", pred[keep])):
-            if ids.size and (ids.min() < 0 or ids.max() >= self.classes):
-                raise ValueError(f"{name} ids must lie in [0,{self.classes}), got {int(ids.max())}")
-        idx = kept_truth * self.classes + pred[keep]
+        truth, pred = truth[keep], pred[keep]
+        for name, ids in (("truth", truth), ("prediction", pred)):
+            bad = ids[(ids < 0) | (ids >= self.classes)]
+            if bad.size:
+                raise FormatError(f"{name} ids must lie in [0,{self.classes}), got {int(bad[0])}")
+        idx = truth * self.classes + pred
         self.counts += np.bincount(idx, minlength=self.classes**2).reshape(self.classes, self.classes)
 
 

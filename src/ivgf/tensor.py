@@ -32,6 +32,8 @@ _F64 = np.dtype(np.float64)
 # 1 << 16 float64 values are 512 KB, so a group's temporaries stay in L2.
 ATTENTION_TILE = 1 << 16
 
+LAYER_NORM_EPS = 1e-5  # added to layer_norm's variance before the square root
+
 # False inside no_grad(): _node then records nothing for backward.
 _grad_enabled = True
 
@@ -340,7 +342,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     return _node(out, "conv2d", (x, weight, bias), back)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Row-wise normalization of [N,C] with biased variance."""
     if x.ndim != 2:
         raise DimensionError(f"layer_norm expects [N,C], got shape {x.shape}")
@@ -349,12 +351,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise DimensionError(
             f"layer_norm: gamma/beta shapes {gamma.shape}/{beta.shape} != ({c},)"
         )
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
     # .sum(...) / c is what .mean computes, without its Python wrapper
     d = x.data - x.data.sum(axis=1, keepdims=True) / c
     var = (d * d).sum(axis=1, keepdims=True) / c  # biased, the same sums np.var takes
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = d * inv_std
 
     def back(g):

@@ -138,8 +138,14 @@ class TestSubstituteMissing:
 
     def test_unknown_mode_rejected(self):
         x, y = _images(13, 32)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^missing must be ir, vis or none, got 'both'$"):
             substitute_missing(x, y, "both")
+
+
+@pytest.mark.parametrize("heads", [0, 3])
+def test_heads_that_do_not_divide_the_base_width_are_a_config_error(heads):
+    with pytest.raises(ConfigError, match=f"^attention heads {heads} must divide channel width 8$"):
+        _encoder(Config(backbone_base_width=8, agf_heads=heads))
 
 
 def _plain_branch(img, br, heads):

@@ -501,6 +501,20 @@ def test_head_classes_above_255_is_exit_2_and_leaves_no_results_dir(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train-toy", "forward"])
+def test_out_of_memory_is_exit_2_and_leaves_no_results_dir(tmp_path, image_pair, capsys, command):
+    # the first weight alone needs about 96 PiB, more than a 64-bit address space holds
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("backbone.base_width = 1000000000000000\n", encoding="utf-8")
+    ir, vis = image_pair
+    extra = ["--steps", "1"] if command == "train-toy" else ["--ir", ir, "--vis", vis]
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out-dir", str(out)] + extra) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("out of memory: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", ["small", "toy"])
 def test_train_toy_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, small_config, config):
     """One and two OpenBLAS threads give byte-identical loss curves and checkpoints.

@@ -1,5 +1,6 @@
 """Format round trips and rejection paths for PNM, checkpoints, config."""
 
+import dataclasses
 import struct
 import tracemalloc
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ivgf import pipeline
+from ivgf import io_formats, pipeline
 from ivgf.errors import ConfigError, DimensionError, FormatError, NonFiniteError
 from ivgf.io_formats import (
     Config,
@@ -446,6 +447,40 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"line 2: bad value for 'head.classes': must lie in \[2, 255\]"):
             parse_config(f"head.width = 8\nhead.classes = {classes}\n")
         assert parse_config("head.classes = 255\n").head_classes == 255
+
+    @pytest.mark.parametrize("line, message", [
+        ("agf.heads = 0", "must be >= 1"),
+        ("tem.adapters = -1", "must be >= 0"),
+        ("data.image_size = 31", "must be >= 32"),
+        ("head.classes = 1", "must lie in [2, 255]"),
+        ("aug.p_cutmix = -0.5", "must lie in [0.0, 1.0]"),
+        ("aug.p_cutout = nan", "must lie in [0.0, 1.0]"),
+        ("train.lr = 0", "must be > 0"),
+        ("train.lr = inf", "must be > 0"),
+        ("train.weight_decay = -1e-9", "must be >= 0"),
+        ("train.weight_decay = nan", "must be >= 0"),
+        ("aug.fill_value = -inf", "must be finite"),
+        ("aug.enabled = yes", "expected true or false"),
+        ("fem.mode = diagonal", "expected one of parallel, serial, channel_only, spatial_only"),
+        ("agf.heads = 1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("train.lr = fast", "could not convert string to float: 'fast'"),
+    ])
+    def test_each_rule_kind_states_its_message(self, line, message):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"# rules\n{line}\n")
+        assert str(exc.value) == f"line 2: bad value for {key!r}: {message}"
+
+    def test_every_key_names_a_config_field_and_dump_lists_them_all(self):
+        keys = set(io_formats._KEYS)
+        assert {key.replace(".", "_") for key in keys} == {f.name for f in dataclasses.fields(Config)}
+        assert [line.split(" = ")[0] for line in Config().dump().splitlines()] == sorted(keys)
+
+    def test_a_seed_beyond_float_range_parses(self):
+        digits = "9" * 400
+        cfg = parse_config(f"train.seed = {digits}\n")
+        assert cfg.train_seed == int(digits)
+        assert parse_config(cfg.dump()) == cfg
 
     def test_dump_round_trips(self):
         cfg = parse_config("fem.mode = serial\ntrain.lr = 0.003\n")

@@ -175,6 +175,19 @@ class TestMiou:
         cm.update(truth, pred)
         assert np.all(cm.counts >= before)
 
+    @pytest.mark.parametrize("truth, pred, message", [
+        ([-1, 0, 2], [0, 0, 1], "truth ids must lie in [0,4), got -1"),
+        ([0, 7, 2], [0, 0, 1], "truth ids must lie in [0,4), got 7"),
+        ([0, 1, 2], [0, -3, 9], "prediction ids must lie in [0,4), got -3"),
+        ([255, 1, 2], [9, 4, 1], "prediction ids must lie in [0,4), got 4"),  # the ignored pixel's 9 is dropped
+    ], ids=["truth-negative", "truth-too-large", "prediction-negative", "prediction-too-large"])
+    def test_update_names_the_first_id_outside_the_classes(self, truth, pred, message):
+        cm = pipeline.ConfusionMatrix(4)
+        with pytest.raises(FormatError) as exc:
+            cm.update(np.array(truth), np.array(pred))
+        assert str(exc.value) == message
+        assert not cm.counts.any()
+
 
 class TestSyntheticScenes:
     def test_class_ids_and_coverage(self):
