@@ -12,28 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
+from .io_formats import Config
 from .rng import RngState
 from .tensor import Tensor
-
-
-@dataclass
-class AugConfig:
-    grid: tuple = (4, 4)
-    p_cutmix: float = 0.25  # per-cell swap probability
-    p_cutout: float = 0.5  # probability of erasing cells in one modality
-    cutout_cells: int = 2
-    fill_value: float = 0.0
-    enabled: bool = True
-
-    def validate(self):
-        rows, cols = self.grid
-        if rows < 1 or cols < 1:
-            raise ConfigError(f"grid must be at least 1x1, got {self.grid}")
-        if not (0.0 <= self.p_cutmix <= 1.0 and 0.0 <= self.p_cutout <= 1.0):
-            raise ConfigError("probabilities must lie in [0, 1]")
-        if not 0 <= self.cutout_cells <= rows * cols:
-            raise ConfigError(f"cutout_cells {self.cutout_cells} exceeds grid of {rows * cols} cells")
 
 
 @dataclass
@@ -69,39 +51,36 @@ def cell_bounds(h: int, w: int, rows: int, cols: int):
     return bounds
 
 
-def sample_cutmix(cfg: AugConfig, rng: RngState) -> list:
+def sample_cutmix(cfg: Config, rng: RngState) -> list:
     """Cells to exchange between the modalities: one Bernoulli draw per cell."""
-    rows, cols = cfg.grid
-    return [cell for cell in range(rows * cols) if rng.bernoulli(cfg.p_cutmix)]
+    cells = cfg.aug_grid_rows * cfg.aug_grid_cols
+    return [cell for cell in range(cells) if rng.bernoulli(cfg.aug_p_cutmix)]
 
 
-def sample_cutout(cfg: AugConfig, rng: RngState) -> tuple[str, list]:
-    """With probability p_cutout, pick one modality and cutout_cells cells to erase."""
-    rows, cols = cfg.grid
-    if rng.bernoulli(cfg.p_cutout) and cfg.cutout_cells > 0:
+def sample_cutout(cfg: Config, rng: RngState) -> tuple[str, list]:
+    """With probability aug.p_cutout, pick one modality and aug.cutout_cells cells to erase."""
+    if rng.bernoulli(cfg.aug_p_cutout) and cfg.aug_cutout_cells > 0:
         modality = "ir" if rng.uniform() < 0.5 else "vis"
-        return modality, sorted(rng.sample_distinct(rows * cols, cfg.cutout_cells))
+        return modality, sorted(rng.sample_distinct(cfg.aug_grid_rows * cfg.aug_grid_cols, cfg.aug_cutout_cells))
     return "none", []
 
 
-def cma_apply(x: Tensor, y: Tensor, cfg: AugConfig, rng: RngState):
+def cma_apply(x: Tensor, y: Tensor, cfg: Config, rng: RngState):
     """cutmix then cutout, each sampled on its own derived stream, one merged record."""
     if x.shape != y.shape:
         raise DimensionError(f"modality shapes differ: {x.shape} vs {y.shape}")
-    if not cfg.enabled:
+    if not cfg.aug_enabled:
         return Tensor(x.data.copy()), Tensor(y.data.copy()), AugRecord()
-    cfg.validate()
     modality, cells = sample_cutout(cfg, rng.derive("cutout"))
     record = AugRecord(sample_cutmix(cfg, rng.derive("cutmix")), modality, cells)
     x2, y2 = apply_record(x, y, cfg, record)
     return x2, y2, record
 
 
-def apply_record(x: Tensor, y: Tensor, cfg: AugConfig, record: AugRecord):
+def apply_record(x: Tensor, y: Tensor, cfg: Config, record: AugRecord):
     """Swap then erase the recorded cells on copies of the inputs, no randomness."""
-    rows, cols = cfg.grid
     _, h, w = x.shape
-    bounds = cell_bounds(h, w, rows, cols)
+    bounds = cell_bounds(h, w, cfg.aug_grid_rows, cfg.aug_grid_cols)
     xd, yd = x.data.copy(), y.data.copy()
     for cell in record.swapped_cells:
         r0, r1, c0, c1 = bounds[cell]
@@ -112,5 +91,5 @@ def apply_record(x: Tensor, y: Tensor, cfg: AugConfig, record: AugRecord):
         target = xd if record.cutout_modality == "ir" else yd
         for cell in record.cutout_cells_applied:
             r0, r1, c0, c1 = bounds[cell]
-            target[:, r0:r1, c0:c1] = cfg.fill_value
+            target[:, r0:r1, c0:c1] = cfg.aug_fill_value
     return Tensor(xd), Tensor(yd)

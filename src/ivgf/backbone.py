@@ -62,10 +62,7 @@ class BackboneParams:
     fem: list  # FemParams per scale 1..3
     tem: fusion.TemParams
     agf: list  # AgfParams per scale 1..4
-    heads: int
-    fem_enabled: bool = True
-    tem_enabled: bool = True
-    agf_enabled: bool = True
+    config: Config  # heads and which blocks run
 
 
 @dataclass
@@ -122,10 +119,7 @@ def build_backbone(store: P.ParamStore, rng: RngState, cfg: Config) -> BackboneP
             fusion.build_agf(store, rng, f"agf{i + 1}", c, cfg.agf_heads)
             for i, c in enumerate((w1, w2, w3, w4))
         ],
-        heads=cfg.agf_heads,
-        fem_enabled=cfg.fem_enabled,
-        tem_enabled=cfg.tem_enabled,
-        agf_enabled=cfg.agf_enabled,
+        config=cfg,
     )
 
 
@@ -138,13 +132,13 @@ def _self_attention_block(rows: Tensor, layer: AttnLayer, heads: int, items: int
 
 
 def _enhance(bb: BackboneParams, scale_idx: int, fx: Tensor, fy: Tensor):
-    if bb.fem_enabled:
+    if bb.config.fem_enabled:
         return fusion.fem_forward(fx, fy, bb.fem[scale_idx])
     return fx, fy
 
 
 def _fuse(bb: BackboneParams, scale_idx: int, fx: Tensor, fy: Tensor) -> Tensor:
-    if bb.agf_enabled:
+    if bb.config.agf_enabled:
         return fusion.agf_forward(fx, fy, bb.agf[scale_idx])
     return fx + fy  # ablation baseline: plain elementwise sum
 
@@ -177,9 +171,9 @@ def encoder_forward(x_img: Tensor, y_img: Tensor, bb: BackboneParams) -> MultiSc
     h3, w3 = ex.shape[-2:]
     tx, ty = tokens(ex), tokens(ey)  # [B*H3*W3, C] rows: the blocks and TEM are row-wise
     for i, (layer_x, layer_y) in enumerate(zip(bb.x.layers, bb.y.layers)):
-        tx = _self_attention_block(tx, layer_x, bb.heads, items)
-        ty = _self_attention_block(ty, layer_y, bb.heads, items)
-        if bb.tem_enabled and (i + 1) in TEM_LAYERS:
+        tx = _self_attention_block(tx, layer_x, bb.config.agf_heads, items)
+        ty = _self_attention_block(ty, layer_y, bb.config.agf_heads, items)
+        if bb.config.tem_enabled and (i + 1) in TEM_LAYERS:
             tx, ty = fusion.tem_forward(tx, ty, bb.tem)
     f3x, f3y = _enhance(bb, 2, feature_map(tx, h3, w3, lead), feature_map(ty, h3, w3, lead))
 

@@ -214,8 +214,7 @@ def cmd_eval(args, cfg, seed: int):
 def cmd_augment(args, cfg, seed: int):
     ir = _read_image(args.ir)
     vis = _read_image(args.vis)
-    aug_cfg = pipeline.aug_config_from(cfg)
-    ir2, vis2, record = augment.cma_apply(ir, vis, aug_cfg, RngState(seed).derive("augment"))
+    ir2, vis2, record = augment.cma_apply(ir, vis, cfg, RngState(seed).derive("augment"))
     out_dir = Path(args.out_dir)
     files = {
         out_dir / "ir_aug.ppm": io_formats.encode_pnm(ir2.data.clip(0.0, 1.0)),

@@ -60,7 +60,7 @@ class FemParams:
     spatial_y: LayerPair
     channel_x: LayerPair
     channel_y: LayerPair
-    mode: str = "parallel"
+    mode: str  # one of FEM_MODES
 
 
 @dataclass
@@ -126,7 +126,7 @@ def build_attn_proj(store: P.ParamStore, rng: RngState, prefix: str, c: int) -> 
     )
 
 
-def build_fem(store: P.ParamStore, rng: RngState, prefix: str, c: int, mode: str = "parallel") -> FemParams:
+def build_fem(store: P.ParamStore, rng: RngState, prefix: str, c: int, mode: str) -> FemParams:
     if mode not in FEM_MODES:
         raise ConfigError(f"unknown fem mode {mode!r}, expected one of {FEM_MODES}")
     reduced = max(c // SPATIAL_REDUCTION, 1)
@@ -147,7 +147,7 @@ def build_fem(store: P.ParamStore, rng: RngState, prefix: str, c: int, mode: str
     )
 
 
-def build_tem(store: P.ParamStore, rng: RngState, prefix: str, c: int, n_adapters: int = 2) -> TemParams:
+def build_tem(store: P.ParamStore, rng: RngState, prefix: str, c: int, n_adapters: int) -> TemParams:
     c1 = c  # keep the per-modality width after reducing the 2C concat
     hidden = max(c1 // ADAPTER_HIDDEN_DIV, 1)
     adapters = [
@@ -166,7 +166,7 @@ def build_tem(store: P.ParamStore, rng: RngState, prefix: str, c: int, n_adapter
     )
 
 
-def build_agf(store: P.ParamStore, rng: RngState, prefix: str, c: int, heads: int = 4) -> AgfParams:
+def build_agf(store: P.ParamStore, rng: RngState, prefix: str, c: int, heads: int) -> AgfParams:
     if heads < 1 or c % heads != 0:
         raise ConfigError(f"attention heads {heads} must divide channel width {c}")
     return AgfParams(

@@ -320,9 +320,13 @@ _KEYS = {
     "tem.adapters": _number(int, lo=0),
     "agf.enabled": _parse_bool,
     "agf.heads": _number(int, lo=1),
-    "backbone.base_width": _number(int, lo=1),
+    # Size bounds: with the other keys at their defaults or minimums, no array exceeds
+    # numpy's 2**63 - 1 bytes. The largest are the parameter arena (base_width), the
+    # head's [B, width, H/4, W/4] sum (head.width) and AGF1's [B, heads, (H/4)^2,
+    # (W/4)^2] scores (image_size). Several raised keys together can still exceed it.
+    "backbone.base_width": _number(int, lo=1, hi=2**23),
     "backbone.depth": _number(int, lo=1),
-    "head.width": _number(int, lo=1),
+    "head.width": _number(int, lo=1, hi=2**50),
     # class ids 0..classes-1 must stay below the ignore label
     "head.classes": _number(int, lo=2, hi=IGNORE_LABEL),
     "aug.enabled": _parse_bool,
@@ -338,7 +342,7 @@ _KEYS = {
     "train.seed": _number(int),
     "data.train_scenes": _number(int, lo=1),
     "data.eval_scenes": _number(int, lo=1),
-    "data.image_size": _number(int, lo=32),
+    "data.image_size": _number(int, lo=32, hi=2**16),
 }
 
 

@@ -35,9 +35,6 @@ class ParamStore:
     def __len__(self) -> int:
         return len(self._params)
 
-    def names(self):
-        return list(self._params.keys())
-
     def items(self):
         return self._params.items()
 

@@ -42,7 +42,8 @@ def toy_runs(tmp_path_factory):
     model_full, losses_full = pipeline.train_toy(cfg_full, steps=200, seed=7)
     model_base, losses_base = pipeline.train_toy(cfg_base, steps=200, seed=7)
     elapsed = time.time() - t0
-    eval_scenes = pipeline.make_dataset(7, "eval", cfg_full.data_eval_scenes, cfg_full.data_image_size)
+    eval_scenes = pipeline.make_dataset(7, "eval", cfg_full.data_eval_scenes, cfg_full.data_image_size,
+                                        cfg_full.head_classes)
     ckpt = tmp_path_factory.mktemp("acceptance") / "full.ckpt"
     ckpt.write_bytes(io_formats.encode_checkpoint(model_full.store))
     return {
@@ -169,7 +170,7 @@ def test_criterion_3_normalization_invariants():
     for trial in range(20):
         seed = 300 + trial
         store = ParamStore()
-        fem = fusion.build_fem(store, RngState(seed), "fem", 4)
+        fem = fusion.build_fem(store, RngState(seed), "fem", 4, "parallel")
         tem = fusion.build_tem(store, RngState(seed), "tem", 4, 2)
         for name, p in store.items():
             p.data = RngState(seed).derive("r", name).fill_uniform(p.data.shape, -0.8, 0.8)
@@ -251,7 +252,8 @@ def test_criterion_5_missing_modality(toy_runs, tmp_path):
 
 def test_criterion_6_augmentation_laws():
     root = RngState(606)
-    cfg = augment.AugConfig(grid=(4, 4), p_cutmix=0.4, p_cutout=0.5, cutout_cells=2, fill_value=0.0)
+    cfg = io_formats.Config(aug_grid_rows=4, aug_grid_cols=4, aug_p_cutmix=0.4, aug_p_cutout=0.5,
+                            aug_cutout_cells=2, aug_fill_value=0.0)
     conservation = exchange = True
     local = np.random.default_rng(66)
     x = Tensor(local.uniform(0.05, 0.95, (3, 8, 8)))
@@ -268,7 +270,8 @@ def test_criterion_6_augmentation_laws():
 
     # counting law, exact
     counting = True
-    cut_cfg = augment.AugConfig(grid=(4, 4), p_cutout=1.0, cutout_cells=2, fill_value=0.0)
+    cut_cfg = io_formats.Config(aug_grid_rows=4, aug_grid_cols=4, aug_p_cutout=1.0, aug_cutout_cells=2,
+                                aug_fill_value=0.0)
     for i in range(200):
         modality, cells = augment.sample_cutout(cut_cfg, root.derive("cut", i))
         rec = augment.AugRecord(cutout_modality=modality, cutout_cells_applied=cells)
@@ -280,14 +283,14 @@ def test_criterion_6_augmentation_laws():
         counting &= bool(np.all(target.data[target.data != source.data] == 0.0))
 
     # p = 0 is bit identity
-    zero_cfg = augment.AugConfig(p_cutmix=0.0, p_cutout=0.0)
+    zero_cfg = io_formats.Config(aug_p_cutmix=0.0, aug_p_cutout=0.0)
     x2, y2, rec = augment.cma_apply(x, y, zero_cfg, root.derive("id"))
     identity = (x2.data.tobytes() == x.data.tobytes() and y2.data.tobytes() == y.data.tobytes()
                 and rec.swapped_cells == [] and rec.cutout_modality == "none")
 
     # modality frequency over 10k trials at p_cutout = 0.5
     hits = 0
-    freq_cfg = augment.AugConfig(grid=(2, 2), p_cutout=0.5, cutout_cells=1)
+    freq_cfg = io_formats.Config(aug_grid_rows=2, aug_grid_cols=2, aug_p_cutout=0.5, aug_cutout_cells=1)
     for i in range(10_000):
         modality, _ = augment.sample_cutout(freq_cfg, root.derive("freq", i))
         hits += modality == "ir"
@@ -337,9 +340,9 @@ def test_criterion_8_format_round_trips(tmp_path):
     path = tmp_path / "rt.ckpt"
     path.write_bytes(io_formats.encode_checkpoint(store))
     loaded = io_formats.load_checkpoint(path)
-    ckpt_ok = list(loaded) == store.names() and all(
+    ckpt_ok = list(loaded) == list(dict(store.items())) and all(
         np.array_equal(loaded[n], store[n].data.astype(np.float32).astype(np.float64))
-        for n in store.names()
+        for n in dict(store.items())
     )
 
     # PNM round trip within 1/255

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ivgf.augment import (
-    AugConfig,
     AugRecord,
     apply_record,
     cell_bounds,
@@ -12,7 +11,8 @@ from ivgf.augment import (
     sample_cutmix,
     sample_cutout,
 )
-from ivgf.errors import ConfigError, DimensionError
+from ivgf.errors import DimensionError
+from ivgf.io_formats import Config
 from ivgf.rng import RngState
 from ivgf.tensor import Tensor
 
@@ -58,7 +58,7 @@ class TestCellGrid:
 class TestCutmix:
     def test_p_zero_is_identity_with_empty_record(self):
         x, y = _pair(0)
-        cfg = AugConfig(p_cutmix=0.0)
+        cfg = Config(aug_p_cutmix=0.0)
         x2, y2, rec = cutmix(x, y, cfg, RngState(1))
         assert np.array_equal(x2.data, x.data) and np.array_equal(y2.data, y.data)
         assert rec.swapped_cells == []
@@ -67,7 +67,7 @@ class TestCutmix:
         # every output pixel comes from one of the two inputs, and the swap
         # is symmetric: x' takes y exactly where y' takes x
         x, y = _pair(1)
-        cfg = AugConfig(p_cutmix=0.5)
+        cfg = Config(aug_p_cutmix=0.5)
         x2, y2, rec = cutmix(x, y, cfg, RngState(42))
         assert rec.swapped_cells  # seed chosen so something swaps
         from_x = x2.data == x.data
@@ -79,7 +79,7 @@ class TestCutmix:
 
     def test_pixel_conservation(self):
         x, y = _pair(2)
-        cfg = AugConfig(p_cutmix=0.5)
+        cfg = Config(aug_p_cutmix=0.5)
         x2, y2, _ = cutmix(x, y, cfg, RngState(7))
         before = np.sort(np.concatenate([x.data.reshape(-1), y.data.reshape(-1)]))
         after = np.sort(np.concatenate([x2.data.reshape(-1), y2.data.reshape(-1)]))
@@ -88,7 +88,7 @@ class TestCutmix:
     def test_rng_replay_reproduces_swap_set(self):
         x = Tensor(np.full((3, 8, 8), 0.25))
         y = Tensor(np.full((3, 8, 8), 0.75))
-        cfg = AugConfig(grid=(4, 4), p_cutmix=0.5)
+        cfg = Config(aug_grid_rows=4, aug_grid_cols=4, aug_p_cutmix=0.5)
         _, _, rec = cutmix(x, y, cfg, RngState(42))
         # independent replay of the same stream decides the same cells
         replay = RngState(42)
@@ -99,7 +99,7 @@ class TestCutmix:
 class TestCutout:
     def test_p_zero_is_identity(self):
         x, y = _pair(3)
-        x2, y2, rec = cutout(x, y, AugConfig(p_cutout=0.0), RngState(5))
+        x2, y2, rec = cutout(x, y, Config(aug_p_cutout=0.0), RngState(5))
         assert np.array_equal(x2.data, x.data) and np.array_equal(y2.data, y.data)
         assert rec.cutout_modality == "none"
 
@@ -107,7 +107,7 @@ class TestCutout:
         # exactly cutout_cells * cell_area * C entries change, all to fill_value
         x = Tensor(np.full((3, 8, 8), 0.4))
         y = Tensor(np.full((3, 8, 8), 0.6))
-        cfg = AugConfig(grid=(4, 4), p_cutout=1.0, cutout_cells=2, fill_value=0.0)
+        cfg = Config(aug_grid_rows=4, aug_grid_cols=4, aug_p_cutout=1.0, aug_cutout_cells=2, aug_fill_value=0.0)
         x2, y2, rec = cutout(x, y, cfg, RngState(11))
         changed_x = np.count_nonzero(x2.data != x.data)
         changed_y = np.count_nonzero(y2.data != y.data)
@@ -123,7 +123,7 @@ class TestCutout:
     def test_touches_exactly_one_modality(self):
         for seed in range(40):
             x, y = _pair(seed + 100)
-            cfg = AugConfig(p_cutout=1.0, cutout_cells=3, fill_value=0.0)
+            cfg = Config(aug_p_cutout=1.0, aug_cutout_cells=3, aug_fill_value=0.0)
             x2, y2, rec = cutout(x, y, cfg, RngState(seed))
             touched_x = not np.array_equal(x2.data, x.data)
             touched_y = not np.array_equal(y2.data, y.data)
@@ -132,7 +132,7 @@ class TestCutout:
 
     def test_modality_frequency(self):
         # apply-with-p-0.5 then pick-ir-with-0.5: ir frequency 0.25 +/- 0.02
-        cfg = AugConfig(grid=(2, 2), p_cutout=0.5, cutout_cells=1)
+        cfg = Config(aug_grid_rows=2, aug_grid_cols=2, aug_p_cutout=0.5, aug_cutout_cells=1)
         x = Tensor(np.full((1, 4, 4), 0.5))
         y = Tensor(np.full((1, 4, 4), 0.5))
         root = RngState(123)
@@ -147,14 +147,14 @@ class TestCutout:
 class TestCma:
     def test_disabled_is_identity(self):
         x, y = _pair(4)
-        cfg = AugConfig(enabled=False, p_cutmix=1.0, p_cutout=1.0)
+        cfg = Config(aug_enabled=False, aug_p_cutmix=1.0, aug_p_cutout=1.0)
         x2, y2, rec = cma_apply(x, y, cfg, RngState(9))
         assert np.array_equal(x2.data, x.data) and np.array_equal(y2.data, y.data)
         assert rec.swapped_cells == [] and rec.cutout_modality == "none"
 
     def test_same_seed_bit_identical(self):
         x, y = _pair(5)
-        cfg = AugConfig()
+        cfg = Config()
         a = cma_apply(x, y, cfg, RngState(31))
         b = cma_apply(x, y, cfg, RngState(31))
         assert a[0].data.tobytes() == b[0].data.tobytes()
@@ -163,7 +163,7 @@ class TestCma:
 
     def test_composition_equals_sub_ops_on_split_streams(self):
         x, y = _pair(6)
-        cfg = AugConfig(p_cutmix=0.4, p_cutout=0.9, cutout_cells=2)
+        cfg = Config(aug_p_cutmix=0.4, aug_p_cutout=0.9, aug_cutout_cells=2)
         root = RngState(55)
         xa, ya, rec = cma_apply(x, y, cfg, root)
         x1, y1, rec_mix = cutmix(x, y, cfg, RngState(55).derive("cutmix"))
@@ -176,7 +176,7 @@ class TestCma:
 
     def test_record_replay_reproduces_outputs(self):
         x, y = _pair(7)
-        cfg = AugConfig(p_cutmix=0.5, p_cutout=1.0, cutout_cells=2)
+        cfg = Config(aug_p_cutmix=0.5, aug_p_cutout=1.0, aug_cutout_cells=2)
         xa, ya, rec = cma_apply(x, y, cfg, RngState(77))
         xr, yr = apply_record(x, y, cfg, rec)
         assert np.array_equal(xa.data, xr.data) and np.array_equal(ya.data, yr.data)
@@ -184,21 +184,6 @@ class TestCma:
     def test_inputs_never_mutated(self):
         x, y = _pair(8)
         bx, by = x.data.copy(), y.data.copy()
-        cma_apply(x, y, AugConfig(p_cutmix=1.0, p_cutout=1.0), RngState(3))
+        cma_apply(x, y, Config(aug_p_cutmix=1.0, aug_p_cutout=1.0), RngState(3))
         assert np.array_equal(x.data, bx) and np.array_equal(y.data, by)
 
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        AugConfig(p_cutmix=1.5).validate()
-    with pytest.raises(ValueError):
-        AugConfig(cutout_cells=99).validate()
-    with pytest.raises(ValueError):
-        AugConfig(grid=(0, 4)).validate()
-
-
-@pytest.mark.parametrize("cfg", [AugConfig(p_cutmix=1.5), AugConfig(p_cutout=-0.1), AugConfig(cutout_cells=99),
-                                 AugConfig(grid=(0, 4))])
-def test_invalid_config_is_a_config_error(cfg):
-    with pytest.raises(ConfigError):
-        cfg.validate()

@@ -150,7 +150,7 @@ class TestNoGrad:
     CFG = Config(backbone_base_width=8, head_width=8, data_image_size=32)
 
     def _scene(self, seed):
-        scene = pipeline.make_dataset(seed, "eval", 1, 32)[0]
+        scene = pipeline.make_dataset(seed, "eval", 1, 32, 4)[0]
         return scene.ir, scene.vis, scene.mask
 
     def test_model_forward_builds_no_tape(self):

@@ -179,8 +179,8 @@ class TestBaselineDegeneration:
         bb, _ = _encoder(cfg, seed=3)
         x, y = _images(14, 32)
         feats = encoder_forward(x, y, bb)
-        plain_x = _plain_branch(x, bb.x, bb.heads)
-        plain_y = _plain_branch(y, bb.y, bb.heads)
+        plain_x = _plain_branch(x, bb.x, bb.config.agf_heads)
+        plain_y = _plain_branch(y, bb.y, bb.config.agf_heads)
         for i in range(4):
             fx, fy = feats.pairs[i]
             assert np.array_equal(fx.data, plain_x[i].data)

@@ -58,13 +58,16 @@ def test_installed_tracer_records_the_wrapped_calls_and_uninstalls(tracing):
 def test_worker_entry_points(tmp_path):
     cfg = TINY
     aug_cfg = pipeline.aug_config_from(cfg)
-    assert isinstance(aug_cfg, augment.AugConfig)
 
     model = pipeline.build_model(cfg, 0)
     optimizer = pipeline.AdamW(model.store, lr=cfg.train_lr, weight_decay=cfg.train_weight_decay)
     batch = pipeline.make_dataset(0, "train", 2, cfg.data_image_size, cfg.head_classes)
-    loss = pipeline.train_step(model, batch, optimizer, aug_cfg, RngState(0).derive("augment", 0))
+    aug_rng = RngState(0).derive("augment", 0)
+    loss = pipeline.train_step(model, batch, optimizer, aug_cfg, aug_rng)
     assert np.isfinite(loss)
+    # the worker's gradient probe replays each slot's augmentation with this call
+    ir_aug, vis_aug, record = augment.cma_apply(batch[0].ir, batch[0].vis, aug_cfg, aug_rng.derive(0))
+    assert ir_aug.shape == vis_aug.shape == batch[0].ir.shape and isinstance(record, augment.AugRecord)
 
     ir, vis = batch[0].images
     nodes = tensor.trace(pipeline.model_forward(model, ir, vis)[1]).nodes

@@ -471,7 +471,7 @@ def test_eval_with_every_pixel_ignored_is_exit_3(tmp_path, small_config, capsys)
 def test_checkpoint_holding_nan_is_exit_5_and_leaves_no_results_dir(tmp_path, small_config, image_pair, capsys,
                                                                      command):
     model = pipeline.build_model(io_formats.parse_config(SMALL_CFG), seed=0)
-    assert model.store.names()[-1] == "head.classifier.b"
+    assert list(dict(model.store.items()))[-1] == "head.classifier.b"
     data = bytearray(io_formats.encode_checkpoint(model.store))
     data[-4:] = struct.pack("<f", float("nan"))  # the last value of the last entry
     ckpt = tmp_path / "nan.ckpt"
@@ -503,15 +503,26 @@ def test_head_classes_above_255_is_exit_2_and_leaves_no_results_dir(tmp_path, ca
 
 @pytest.mark.parametrize("command", ["train-toy", "forward"])
 def test_out_of_memory_is_exit_2_and_leaves_no_results_dir(tmp_path, image_pair, capsys, command):
-    # the first weight alone needs about 96 PiB, more than a 64-bit address space holds
+    # the first head weight alone needs about 227 PiB, more than a 64-bit address space holds
     cfg = tmp_path / "huge.cfg"
-    cfg.write_text("backbone.base_width = 1000000000000000\n", encoding="utf-8")
+    cfg.write_text("head.width = 1000000000000000\n", encoding="utf-8")
     ir, vis = image_pair
     extra = ["--steps", "1"] if command == "train-toy" else ["--ir", ir, "--vis", vis]
     out = tmp_path / "o"
     assert cli.main([command, "--config", str(cfg), "--out-dir", str(out)] + extra) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and err.startswith("out of memory: ")
+    assert not out.exists()
+
+
+def test_image_size_beyond_its_bound_is_exit_2_and_leaves_no_results_dir(tmp_path, capsys):
+    # numpy cannot index a [3, 1e9, 1e9] array at all: it raises ValueError, not MemoryError
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("data.image_size = 1000000000\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["make-data", "--config", str(cfg), "--count", "1", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "bad value for 'data.image_size': must lie in [32, " in err
     assert not out.exists()
 
 

@@ -125,3 +125,41 @@ def test_non_finite_trial_loss_fails_its_block_in_the_cli(monkeypatch, capsys):
     assert (result.max_err, result.worst, result.ok) == (np.inf, "loss (non-finite)", False)
     assert cli.main(["gradcheck", "--trials", "1"]) == 1
     assert "tem (loss (non-finite), err inf)" in capsys.readouterr().err
+
+
+# A ×1.01 backward fault that one trial cannot see: TEM trial 0 has no
+# adapters, so no softmax_rows, and one trial of the pooling ops misses it.
+SLIGHT_FAULT_TRIALS = {"softmax_rows": 20, "adaptive_avg_pool2d": 20, "adaptive_max_pool2d": 20}
+
+
+@pytest.fixture(scope="module")
+def graph_ops():
+    """{check: ops with a backward on its graphs in trials 0-2}, recorded without differentiating."""
+    ops = {}
+
+    def record(loss_fn, tensors, entries, tolerance):
+        ops[name].update(node.op for node in tensor.trace(loss_fn()).nodes if node._backward_fn is not None)
+        return 0.0, "-"
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gradcheck, "_check_entries", record)
+        for name in CHECKS:
+            ops[name] = set()
+            getattr(gradcheck, name)(0, 3)
+    return ops
+
+
+@pytest.mark.parametrize("fault", [*oracles.FAULTS, "scale_1.01"])
+def test_every_backward_fault_in_every_op_fails_some_block(graph_ops, fault):
+    # the fault matrix: whichever op's backward is wrong, a block whose graph
+    # holds that op must fail; blocks run in suite order until one does
+    transform = oracles.FAULTS.get(fault, lambda g: g * 1.01)
+    assert {"softmax_rows", "narrow"} <= graph_ops["check_tem"]  # only TEM trials 1 and 2 have adapters
+    missed = []
+    for op in sorted(set().union(*graph_ops.values())):
+        trials = SLIGHT_FAULT_TRIALS.get(op, 1) if fault == "scale_1.01" else 1
+        with pytest.MonkeyPatch.context() as patch:
+            oracles.inject_fault(patch, op, transform)
+            if all(getattr(gradcheck, name)(0, trials).ok for name in CHECKS if op in graph_ops[name]):
+                missed.append(op)
+    assert not missed, f"{fault} fault passed every block in {missed}"

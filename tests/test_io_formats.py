@@ -346,14 +346,14 @@ class TestCheckpoint:
             data[-4:] = struct.pack("<f", float("nan"))  # last value of the last entry
             path.write_bytes(bytes(data))
         else:
-            *head, last = saved.names()
+            *head, last = list(dict(saved.items()))
             arrays = {name: saved[name].data for name in head}
             arrays[last] = saved[last].data[..., None]
             path.write_bytes(encode_checkpoint(self._store(arrays)))
         store = pipeline.build_model(cfg, 1).store
         before = {name: p.data.tobytes() for name, p in store.items()}
         error = NonFiniteError if fault == "nan" else DimensionError
-        with pytest.raises(error, match=repr(store.names()[-1])):
+        with pytest.raises(error, match=repr(list(dict(store.items()))[-1])):
             store.load_arrays(load_checkpoint(path).arrays())
         assert {name: p.data.tobytes() for name, p in store.items()} == before
 
@@ -451,10 +451,12 @@ class TestConfig:
     @pytest.mark.parametrize("line, message", [
         ("agf.heads = 0", "must be >= 1"),
         ("tem.adapters = -1", "must be >= 0"),
-        ("data.image_size = 31", "must be >= 32"),
+        ("data.image_size = 31", "must lie in [32, 65536]"),
         ("head.classes = 1", "must lie in [2, 255]"),
         ("aug.p_cutmix = -0.5", "must lie in [0.0, 1.0]"),
         ("aug.p_cutout = nan", "must lie in [0.0, 1.0]"),
+        ("aug.p_cutout = -0.1", "must lie in [0.0, 1.0]"),
+        ("aug.grid_rows = 0", "must be >= 1"),
         ("train.lr = 0", "must be > 0"),
         ("train.lr = inf", "must be > 0"),
         ("train.weight_decay = -1e-9", "must be >= 0"),

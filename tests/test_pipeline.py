@@ -191,7 +191,7 @@ class TestMiou:
 
 class TestSyntheticScenes:
     def test_class_ids_and_coverage(self):
-        scenes = pipeline.make_dataset(3, "train", 8, 64)
+        scenes = pipeline.make_dataset(3, "train", 8, 64, 4)
         for scene in scenes:
             assert scene.mask.min() >= 0 and scene.mask.max() < 4
             assert len(np.unique(scene.mask)) >= 2
@@ -199,15 +199,15 @@ class TestSyntheticScenes:
             assert scene.ir.data.min() >= 0.0 and scene.ir.data.max() <= 1.0
 
     def test_determinism_per_index(self):
-        a = pipeline.make_dataset(5, "eval", 4, 32)
-        b = pipeline.make_dataset(5, "eval", 4, 32)
+        a = pipeline.make_dataset(5, "eval", 4, 32, 4)
+        b = pipeline.make_dataset(5, "eval", 4, 32, 4)
         for sa, sb in zip(a, b):
             assert sa.ir.data.tobytes() == sb.ir.data.tobytes()
             assert np.array_equal(sa.mask, sb.mask)
 
     def test_modality_exclusive_classes(self):
         # class 1 must stand out in ir but not vis; class 2 the reverse
-        scene = pipeline.make_dataset(11, "train", 1, 64)[0]
+        scene = pipeline.make_dataset(11, "train", 1, 64, 4)[0]
         mask, ir, vis = scene.mask, scene.ir.data, scene.vis.data
         bg_ir = ir[0][mask == 0].mean()
         bg_vis = vis[0][mask == 0].mean()
@@ -281,8 +281,8 @@ class TestParameterArena:
             step(grads)
 
         opt.step = recording_step
-        pipeline.train_step(model, pipeline.make_dataset(0, "train", 2, 32), opt, augment.AugConfig(enabled=False), None)
-        assert set(seen) == set(model.store.names())
+        pipeline.train_step(model, pipeline.make_dataset(0, "train", 2, 32, 4), opt, Config(aug_enabled=False), None)
+        assert set(seen) == set(dict(model.store.items()))
         for name, p in model.store.items():
             assert np.shares_memory(p.data, opt.param_arena), name
             assert np.shares_memory(seen[name], opt.grad_arena), name
@@ -336,14 +336,14 @@ class TestTraining:
     def test_one_batched_graph_equals_the_per_scene_tapes(self, size):
         """The batch runs as one [B,3,H,W] graph; per scene it is the mean of the scene losses."""
         cfg = Config(backbone_base_width=8, head_width=8, data_image_size=32, aug_p_cutmix=0.5, aug_p_cutout=0.5)
-        scenes = pipeline.make_dataset(9, "train", size, 32)
-        aug_cfg, aug_rng = pipeline.aug_config_from(cfg), RngState(9).derive("augment", 0)
+        scenes = pipeline.make_dataset(9, "train", size, 32, 4)
+        aug_rng = RngState(9).derive("augment", 0)
 
         model = pipeline.build_model(cfg, seed=9)
         params = dict(model.store.items())
         losses = []
         for slot, scene in enumerate(scenes):
-            ir, vis, _ = augment.cma_apply(scene.ir, scene.vis, aug_cfg, aug_rng.derive(slot))
+            ir, vis, _ = augment.cma_apply(scene.ir, scene.vis, cfg, aug_rng.derive(slot))
             losses.append(pipeline.cross_entropy(pipeline.model_forward(model, ir, vis)[1], scene.mask))
         per_scene = losses[0]
         for loss in losses[1:]:
@@ -354,7 +354,7 @@ class TestTraining:
         opt = pipeline.AdamW(model.store, lr=1e-3)
         captured = {}
         opt.step = lambda grads: captured.update({n: g.copy() for n, g in grads.items()})
-        value = pipeline.train_step(model, scenes, opt, aug_cfg, aug_rng)
+        value = pipeline.train_step(model, scenes, opt, cfg, aug_rng)
         assert abs(value - per_scene.item()) <= 1e-12 * abs(per_scene.item())
         assert captured.keys() == expected.keys()
         largest = max(np.max(np.abs(g)) for g in expected.values())
@@ -371,17 +371,17 @@ class TestTraining:
         cfg = Config(backbone_base_width=8, head_width=8, data_image_size=32, data_train_scenes=2)
         model = pipeline.build_model(cfg, seed=0)
         model.store["head.classifier.w"].data[:] = np.inf
-        scenes = pipeline.make_dataset(0, "train", 1, 32)
+        scenes = pipeline.make_dataset(0, "train", 1, 32, 4)
         opt = pipeline.AdamW(model.store, lr=1e-3)
         with pytest.raises(NonFiniteError, match="conv2d|non-finite"):
-            pipeline.train_step(model, scenes, opt, augment.AugConfig(enabled=False), None)
+            pipeline.train_step(model, scenes, opt, Config(aug_enabled=False), None)
 
 
 class TestEvaluate:
     def test_perfect_predictions_give_miou_one(self, monkeypatch):
         cfg = Config(backbone_base_width=8, head_width=8, data_image_size=32)
         model = pipeline.build_model(cfg, seed=1)
-        scenes = pipeline.make_dataset(2, "eval", 3, 32)
+        scenes = pipeline.make_dataset(2, "eval", 3, 32, 4)
         monkeypatch.setattr(pipeline, "predict", lambda model, ir, vis, missing="none": scenes_by_ir[ir.data.tobytes()])
         scenes_by_ir = {s.ir.data.tobytes(): s.mask for s in scenes}
         report = pipeline.evaluate(scenes, model, "none")
@@ -405,7 +405,7 @@ class TestEvaluate:
     def test_evaluate_deterministic(self):
         cfg = Config(backbone_base_width=8, head_width=8, data_image_size=32)
         model = pipeline.build_model(cfg, seed=4)
-        scenes = pipeline.make_dataset(5, "eval", 2, 32)
+        scenes = pipeline.make_dataset(5, "eval", 2, 32, 4)
         a = pipeline.report_csv(pipeline.evaluate(scenes, model, "none"))
         b = pipeline.report_csv(pipeline.evaluate(scenes, model, "none"))
         assert a == b
@@ -413,7 +413,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("missing", ["none", "ir", "vis"])
     def test_predict_and_evaluate_match_the_taped_forward(self, missing):
         model = pipeline.build_model(SMALL, seed=6)
-        scenes = pipeline.make_dataset(8, "eval", 2, 32)
+        scenes = pipeline.make_dataset(8, "eval", 2, 32, 4)
         cm = pipeline.ConfusionMatrix(model.config.head_classes)
         for scene in scenes:
             expected = pipeline.model_forward(model, scene.ir, scene.vis, missing)[1].data.argmax(0)
