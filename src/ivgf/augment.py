@@ -35,10 +35,14 @@ class AugRecord:
         return "\n".join(lines) + "\n"
 
 
-def cell_bounds(h: int, w: int, rows: int, cols: int):
-    """Row-major cell rectangles; trailing cells absorb any remainder."""
+def check_grid(h: int, w: int, rows: int, cols: int):
     if rows > h or cols > w:
         raise DimensionError(f"grid {rows}x{cols} larger than image {h}x{w}")
+
+
+def cell_bounds(h: int, w: int, rows: int, cols: int):
+    """Row-major cell rectangles; trailing cells absorb any remainder."""
+    check_grid(h, w, rows, cols)
     rstep, cstep = h // rows, w // cols
     bounds = []
     for r in range(rows):
@@ -71,6 +75,7 @@ def cma_apply(x: Tensor, y: Tensor, cfg: Config, rng: RngState):
         raise DimensionError(f"modality shapes differ: {x.shape} vs {y.shape}")
     if not cfg.aug_enabled:
         return Tensor(x.data.copy()), Tensor(y.data.copy()), AugRecord()
+    check_grid(*x.shape[-2:], cfg.aug_grid_rows, cfg.aug_grid_cols)  # before drawing once per cell
     modality, cells = sample_cutout(cfg, rng.derive("cutout"))
     record = AugRecord(sample_cutmix(cfg, rng.derive("cutmix")), modality, cells)
     x2, y2 = apply_record(x, y, cfg, record)

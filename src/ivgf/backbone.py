@@ -59,10 +59,10 @@ class Branch:
 class BackboneParams:
     x: Branch
     y: Branch
-    fem: list  # FemParams per scale 1..3
-    tem: fusion.TemParams
-    agf: list  # AgfParams per scale 1..4
-    config: Config  # heads and which blocks run
+    fem: list | None  # FemParams per scale 1..3; None when FEM is off
+    tem: fusion.TemParams | None  # None when TEM is off or the stage is shallower than TEM_LAYERS[0]
+    agf: list | None  # AgfParams per scale 1..4; None when AGF is off (sum fusion)
+    config: Config  # heads of the attention layers
 
 
 @dataclass
@@ -95,6 +95,7 @@ def _attn_layer(store, rng, name, c) -> AttnLayer:
 
 def build_backbone(store: P.ParamStore, rng: RngState, cfg: Config) -> BackboneParams:
     w1, w2, w3, w4 = cfg.widths()
+    fusion.check_heads(cfg.agf_heads, w1)  # every attention width is a multiple of w1
     stem_mid = max(w1 // 2, 1)
 
     def branch(tag):
@@ -110,15 +111,12 @@ def build_backbone(store: P.ParamStore, rng: RngState, cfg: Config) -> BackboneP
     return BackboneParams(
         x=branch("x"),
         y=branch("y"),
-        fem=[
-            fusion.build_fem(store, rng, f"fem{i + 1}", c, cfg.fem_mode)
-            for i, c in enumerate((w1, w2, w3))
-        ],
-        tem=fusion.build_tem(store, rng, "tem", w3, cfg.tem_adapters),
-        agf=[
-            fusion.build_agf(store, rng, f"agf{i + 1}", c, cfg.agf_heads)
-            for i, c in enumerate((w1, w2, w3, w4))
-        ],
+        fem=[fusion.build_fem(store, rng, f"fem{i + 1}", c, cfg.fem_mode) for i, c in enumerate((w1, w2, w3))]
+        if cfg.fem_enabled else None,
+        tem=fusion.build_tem(store, rng, "tem", w3, cfg.tem_adapters)
+        if cfg.tem_enabled and cfg.backbone_depth >= TEM_LAYERS[0] else None,
+        agf=[fusion.build_agf(store, rng, f"agf{i + 1}", c, cfg.agf_heads) for i, c in enumerate((w1, w2, w3, w4))]
+        if cfg.agf_enabled else None,
         config=cfg,
     )
 
@@ -132,15 +130,11 @@ def _self_attention_block(rows: Tensor, layer: AttnLayer, heads: int, items: int
 
 
 def _enhance(bb: BackboneParams, scale_idx: int, fx: Tensor, fy: Tensor):
-    if bb.config.fem_enabled:
-        return fusion.fem_forward(fx, fy, bb.fem[scale_idx])
-    return fx, fy
+    return fusion.fem_forward(fx, fy, bb.fem[scale_idx]) if bb.fem else (fx, fy)
 
 
 def _fuse(bb: BackboneParams, scale_idx: int, fx: Tensor, fy: Tensor) -> Tensor:
-    if bb.config.agf_enabled:
-        return fusion.agf_forward(fx, fy, bb.agf[scale_idx])
-    return fx + fy  # ablation baseline: plain elementwise sum
+    return fusion.agf_forward(fx, fy, bb.agf[scale_idx]) if bb.agf else fx + fy  # sum: the ablation baseline
 
 
 def encoder_forward(x_img: Tensor, y_img: Tensor, bb: BackboneParams) -> MultiScaleFeatures:
@@ -173,7 +167,7 @@ def encoder_forward(x_img: Tensor, y_img: Tensor, bb: BackboneParams) -> MultiSc
     for i, (layer_x, layer_y) in enumerate(zip(bb.x.layers, bb.y.layers)):
         tx = _self_attention_block(tx, layer_x, bb.config.agf_heads, items)
         ty = _self_attention_block(ty, layer_y, bb.config.agf_heads, items)
-        if bb.config.tem_enabled and (i + 1) in TEM_LAYERS:
+        if bb.tem is not None and (i + 1) in TEM_LAYERS:
             tx, ty = fusion.tem_forward(tx, ty, bb.tem)
     f3x, f3y = _enhance(bb, 2, feature_map(tx, h3, w3, lead), feature_map(ty, h3, w3, lead))
 

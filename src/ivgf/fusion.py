@@ -39,7 +39,10 @@ SPATIAL_REDUCTION = 8  # first spatial 1x1 conv maps C -> max(C//8, 1)
 CHANNEL_HIDDEN_DIV = 4  # channel MLP hidden width = max(C//4, 1)
 ADAPTER_HIDDEN_DIV = 4
 
-FEM_MODES = ("parallel", "serial", "channel_only", "spatial_only")
+# mode -> (spatial integration, channel attention, channel attention reads the integrated maps)
+FEM_WIRING = {"parallel": (True, True, False), "serial": (True, True, True),
+              "channel_only": (False, True, False), "spatial_only": (True, False, False)}
+FEM_MODES = tuple(FEM_WIRING)
 
 
 @dataclass
@@ -56,10 +59,10 @@ class LayerPair:
 
 @dataclass
 class FemParams:
-    spatial_x: LayerPair
-    spatial_y: LayerPair
-    channel_x: LayerPair
-    channel_y: LayerPair
+    spatial_x: LayerPair | None  # None where the mode has no spatial integration
+    spatial_y: LayerPair | None
+    channel_x: LayerPair | None  # None where the mode has no channel attention
+    channel_y: LayerPair | None
     mode: str  # one of FEM_MODES
 
 
@@ -70,8 +73,8 @@ class TemParams:
     reduce_w: Tensor  # 2C -> C1
     reduce_b: Tensor
     adapters: list  # LayerPair per adapter, C1 -> C1
-    router_w: Tensor  # C1 -> K
-    router_b: Tensor
+    router_w: Tensor | None  # C1 -> K adapters; None without adapters
+    router_b: Tensor | None
 
 
 @dataclass
@@ -126,9 +129,19 @@ def build_attn_proj(store: P.ParamStore, rng: RngState, prefix: str, c: int) -> 
     )
 
 
-def build_fem(store: P.ParamStore, rng: RngState, prefix: str, c: int, mode: str) -> FemParams:
-    if mode not in FEM_MODES:
+def check_heads(heads: int, c: int):
+    if heads < 1 or c % heads != 0:
+        raise ConfigError(f"attention heads {heads} must divide channel width {c}")
+
+
+def fem_wiring(mode: str) -> tuple:
+    if mode not in FEM_WIRING:
         raise ConfigError(f"unknown fem mode {mode!r}, expected one of {FEM_MODES}")
+    return FEM_WIRING[mode]
+
+
+def build_fem(store: P.ParamStore, rng: RngState, prefix: str, c: int, mode: str) -> FemParams:
+    spatial, channel, _ = fem_wiring(mode)
     reduced = max(c // SPATIAL_REDUCTION, 1)
     hidden = max(c // CHANNEL_HIDDEN_DIV, 1)
 
@@ -139,10 +152,10 @@ def build_fem(store: P.ParamStore, rng: RngState, prefix: str, c: int, mode: str
         return build_layer_pair(store, rng, f"{prefix}.{tag}.lin1", f"{prefix}.{tag}.lin2", 2 * c, hidden, c)
 
     return FemParams(
-        spatial_x=conv_pair("spatial_x"),
-        spatial_y=conv_pair("spatial_y"),
-        channel_x=linear_pair("channel_x"),
-        channel_y=linear_pair("channel_y"),
+        spatial_x=conv_pair("spatial_x") if spatial else None,
+        spatial_y=conv_pair("spatial_y") if spatial else None,
+        channel_x=linear_pair("channel_x") if channel else None,
+        channel_y=linear_pair("channel_y") if channel else None,
         mode=mode,
     )
 
@@ -154,21 +167,19 @@ def build_tem(store: P.ParamStore, rng: RngState, prefix: str, c: int, n_adapter
         build_layer_pair(store, rng, f"{prefix}.adapter{i}.down", f"{prefix}.adapter{i}.up", c1, hidden, c1)
         for i in range(n_adapters)
     ]
-    k = max(n_adapters, 1)
     return TemParams(
         ln_gamma=P.norm_gain(store, f"{prefix}.ln.gamma", 2 * c),
         ln_beta=P.bias(store, f"{prefix}.ln.beta", 2 * c),
         reduce_w=P.weight(store, rng, f"{prefix}.reduce.w", (c1, 2 * c), 2 * c),
         reduce_b=P.bias(store, f"{prefix}.reduce.b", c1),
         adapters=adapters,
-        router_w=P.weight(store, rng, f"{prefix}.router.w", (k, c1), c1),
-        router_b=P.bias(store, f"{prefix}.router.b", k),
+        router_w=P.weight(store, rng, f"{prefix}.router.w", (n_adapters, c1), c1) if adapters else None,
+        router_b=P.bias(store, f"{prefix}.router.b", n_adapters) if adapters else None,
     )
 
 
 def build_agf(store: P.ParamStore, rng: RngState, prefix: str, c: int, heads: int) -> AgfParams:
-    if heads < 1 or c % heads != 0:
-        raise ConfigError(f"attention heads {heads} must divide channel width {c}")
+    check_heads(heads, c)
     return AgfParams(
         xy=build_attn_proj(store, rng, f"{prefix}.xy", c),
         yx=build_attn_proj(store, rng, f"{prefix}.yx", c),
@@ -212,26 +223,16 @@ def channel_attention(f: Tensor, pair: LayerPair) -> Tensor:
 
 
 def fem_forward(fx: Tensor, fy: Tensor, fem: FemParams):
+    """Spatial integration and/or residual channel attention, wired by FEM_WIRING[fem.mode]."""
     if fx.shape != fy.shape:
         raise DimensionError(f"modality shapes differ: {fx.shape} vs {fy.shape}")
-    if fem.mode == "parallel":
-        sxy, syx = cross_spatial_integration(fx, fy, fem.spatial_x, fem.spatial_y)
-        out_x = sxy + fx * channel_attention(fx, fem.channel_x)
-        out_y = syx + fy * channel_attention(fy, fem.channel_y)
-    elif fem.mode == "serial":
-        # spatial integration first, then channel attention on its outputs,
-        # added back residually
-        sxy, syx = cross_spatial_integration(fx, fy, fem.spatial_x, fem.spatial_y)
-        out_x = sxy + sxy * channel_attention(sxy, fem.channel_x)
-        out_y = syx + syx * channel_attention(syx, fem.channel_y)
-    elif fem.mode == "channel_only":
-        out_x = fx + fx * channel_attention(fx, fem.channel_x)
-        out_y = fy + fy * channel_attention(fy, fem.channel_y)
-    elif fem.mode == "spatial_only":
-        out_x, out_y = cross_spatial_integration(fx, fy, fem.spatial_x, fem.spatial_y)
-    else:
-        raise ConfigError(f"unknown fem mode {fem.mode!r}, expected one of {FEM_MODES}")
-    return out_x, out_y
+    spatial, channel, chained = fem_wiring(fem.mode)
+    out_x, out_y = cross_spatial_integration(fx, fy, fem.spatial_x, fem.spatial_y) if spatial else (fx, fy)
+    if not channel:
+        return out_x, out_y
+    src_x, src_y = (out_x, out_y) if chained else (fx, fy)
+    return (out_x + src_x * channel_attention(src_x, fem.channel_x),
+            out_y + src_y * channel_attention(src_y, fem.channel_y))
 
 
 # -- token enhancement --------------------------------------------------------
@@ -270,9 +271,7 @@ def multi_head_attention(tq: Tensor, tkv: Tensor, proj: AttnProj, heads: int, it
     With `items` = B, the rows hold B scenes' tokens one after another and
     each scene attends only to its own.
     """
-    c = tq.shape[1]
-    if heads < 1 or c % heads != 0:
-        raise ConfigError(f"attention heads {heads} must divide channel width {c}")
+    check_heads(heads, tq.shape[1])
     q = linear(tq, proj.q_w, proj.q_b)
     k = linear(tkv, proj.k_w, proj.k_b)
     v = linear(tkv, proj.v_w, proj.v_b)

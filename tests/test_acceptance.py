@@ -109,17 +109,22 @@ def test_criterion_2_oracle_equivalence():
         worst["softmax_rows"] = max(worst.get("softmax_rows", 0.0),
                                     _max_abs(softmax_rows(Tensor(xm)).data, oracles.softmax_naive(xm)))
 
-        store = ParamStore()
-        fem = fusion.build_fem(store, RngState(seed), "fem", 4, fusion.FEM_MODES[trial % 4])
-        for name, p in store.items():
-            p.data = RngState(seed).derive("r", name).fill_uniform(p.data.shape, -0.6, 0.6)
+        # a mode builds only the pairs it runs; parallel builds both kinds, under
+        # the same names and so with the same values as every other mode
+        fems = {}
+        for mode in ("parallel", fusion.FEM_MODES[trial % 4]):
+            store = ParamStore()
+            fems[mode] = fusion.build_fem(store, RngState(seed), "fem", 4, mode)
+            for name, p in store.items():
+                p.data = RngState(seed).derive("r", name).fill_uniform(p.data.shape, -0.6, 0.6)
+        pairs, fem = fems["parallel"], fems[fusion.FEM_MODES[trial % 4]]
         fx, fy = rng.uniform(-1, 1, (4, 4, 4)), rng.uniform(-1, 1, (4, 4, 4))
         worst["spatial_attention"] = max(worst.get("spatial_attention", 0.0),
-                                         _max_abs(fusion.spatial_attention(Tensor(fx), fem.spatial_x).data,
-                                                  oracles.spatial_attention_naive(fx, fem.spatial_x)))
+                                         _max_abs(fusion.spatial_attention(Tensor(fx), pairs.spatial_x).data,
+                                                  oracles.spatial_attention_naive(fx, pairs.spatial_x)))
         worst["channel_attention"] = max(worst.get("channel_attention", 0.0),
-                                         _max_abs(fusion.channel_attention(Tensor(fx), fem.channel_x).data,
-                                                  oracles.channel_weights_naive(fx, fem.channel_x)))
+                                         _max_abs(fusion.channel_attention(Tensor(fx), pairs.channel_x).data,
+                                                  oracles.channel_weights_naive(fx, pairs.channel_x)))
         ox, oy = fusion.fem_forward(Tensor(fx), Tensor(fy), fem)
         ex, ey = oracles.fem_naive(fx, fy, fem)
         worst["fem_forward"] = max(worst.get("fem_forward", 0.0), _max_abs(ox.data, ex), _max_abs(oy.data, ey))

@@ -148,6 +148,14 @@ def test_heads_that_do_not_divide_the_base_width_are_a_config_error(heads):
         _encoder(Config(backbone_base_width=8, agf_heads=heads))
 
 
+@pytest.mark.parametrize("width, heads", [(8, 3), (6, 4)])
+def test_heads_are_checked_at_build_time_without_agf(width, heads):
+    # 4 heads divide every attention width of base width 6 (24 in the encoder),
+    # so only the builder's check against the base width refuses them
+    with pytest.raises(ConfigError, match=f"^attention heads {heads} must divide channel width {width}$"):
+        _encoder(Config(backbone_base_width=width, agf_heads=heads, agf_enabled=False))
+
+
 def _plain_branch(img, br, heads):
     """Independently wired per-modality forward with no enhancement hooks."""
     f1 = relu(conv2d(relu(conv2d(img, br.stem1.w, br.stem1.b, 2, 1)), br.stem2.w, br.stem2.b, 2, 1))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ivgf import cli, io_formats, pipeline
+from ivgf import augment, cli, io_formats, pipeline
 from ivgf.rng import RngState
 from oracles import FAULTS, inject_fault
 
@@ -320,6 +320,24 @@ class TestAugmentCommand:
         assert code == 4
         assert "grid 4x4 larger than image 2x2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_grid_larger_than_image_is_refused_before_any_cell_is_drawn(self, tmp_path, capsys, monkeypatch):
+        # sampling draws once per grid cell: 10^7 rows once took about 47 s before the size check ran
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("aug.grid_rows = 10000000\n", encoding="utf-8")
+        rng = np.random.default_rng(4)
+        ir, vis = tmp_path / "ir64.ppm", tmp_path / "vis64.ppm"
+        for path in (ir, vis):
+            path.write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 64, 64))))
+        drawn = []
+        monkeypatch.setattr(augment, "sample_cutmix", lambda *a: drawn.append("cutmix") or [])
+        monkeypatch.setattr(augment, "sample_cutout", lambda *a: drawn.append("cutout") or ("none", []))
+        out = tmp_path / "aug"
+        code = cli.main(["augment", "--config", str(cfg), "--ir", str(ir), "--vis", str(vis),
+                         "--seed", "3", "--out-dir", str(out)])
+        assert code == 4
+        assert "grid 10000000x4 larger than image 64x64" in capsys.readouterr().err
+        assert drawn == [] and not out.exists()
 
     def test_modality_size_mismatch_is_exit_4_and_leaves_no_results_dir(self, tmp_path, small_config, capsys):
         rng = np.random.default_rng(5)

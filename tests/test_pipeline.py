@@ -1,21 +1,24 @@
 """Head, loss, metric, optimizer, synthetic data, and the training loop."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ivgf import gradcheck, pipeline
+from ivgf import fusion, gradcheck, pipeline
 from ivgf.backbone import MultiScaleFeatures
 from ivgf import augment
 from ivgf.errors import DetachedParameterError, FormatError, NonFiniteError
-from ivgf.io_formats import Config
+from ivgf.io_formats import Config, load_config
 from ivgf.params import ParamStore
 from ivgf.rng import RngState
-from ivgf.tensor import Tensor, backward, named_gradients
+from ivgf.tensor import Tensor, backward, named_gradients, trace
 from oracles import finite_diff_grad, max_rel_error
 
 SMALL = Config(backbone_base_width=8, head_width=8, data_image_size=32)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestSegForward:
@@ -375,6 +378,36 @@ class TestTraining:
         opt = pipeline.AdamW(model.store, lr=1e-3)
         with pytest.raises(NonFiniteError, match="conv2d|non-finite"):
             pipeline.train_step(model, scenes, opt, Config(aug_enabled=False), None)
+
+
+class TestBuiltParameters:
+    """The builder makes only the parameters the forward pass reads."""
+
+    @pytest.mark.parametrize("cfg_name, change", [
+        ("toy_baseline.cfg", {}),
+        ("toy.cfg", {"fem_enabled": False}),
+        ("toy.cfg", {"tem_enabled": False}),
+        ("toy.cfg", {"agf_enabled": False}),
+        *(("toy.cfg", {"fem_mode": mode}) for mode in fusion.FEM_MODES),
+        ("toy.cfg", {"tem_adapters": 0}),
+        ("toy.cfg", {"backbone_depth": 2}),
+    ], ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) or "as_shipped" if isinstance(v, dict) else v)
+    def test_every_parameter_is_reached_by_the_loss(self, cfg_name, change):
+        cfg = dataclasses.replace(load_config(CONFIGS / cfg_name), **change,
+                                  backbone_base_width=8, head_width=8, data_image_size=32)
+        model = pipeline.build_model(cfg, seed=0)
+        scene = pipeline.make_dataset(0, "train", 1, 32, cfg.head_classes)[0]
+        loss = pipeline.cross_entropy(pipeline.model_forward(model, scene.ir, scene.vis)[1], scene.mask)
+        reached = {id(node) for node in trace(loss).nodes}
+        assert [name for name, p in model.store.items() if id(p) not in reached] == []
+
+    @pytest.mark.parametrize("cfg_name, tensors, values", [
+        ("toy.cfg", 452, 4_860_812),
+        ("toy_baseline.cfg", 318, 3_201_092),
+    ])
+    def test_shipped_config_sizes(self, cfg_name, tensors, values):
+        store = pipeline.build_model(load_config(CONFIGS / cfg_name), seed=0).store
+        assert (len(store), sum(p.size for p in store.values())) == (tensors, values)
 
 
 class TestEvaluate:
