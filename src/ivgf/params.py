@@ -24,7 +24,7 @@ class ParamStore:
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
+            raise DimensionError(f"duplicate parameter name {name!r}")
         tensor.requires_grad = True
         self._params[name] = tensor
         return tensor

@@ -336,6 +336,19 @@ def cross_entropy_naive(logits, mask, ignore=255):
     return sum(per_item) / len(per_item)
 
 
+def fill_uniform_oneshot(seed, counter, shape, lo, hi):
+    """`RngState.fill_uniform` as one whole-size draw: every splitmix64 word of the stream at once."""
+    n = math.prod(shape)
+    z = np.uint64(seed) + np.uint64(0x9E3779B97F4A7C15) * np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (lo + (hi - lo) * u).reshape(shape)
+
+
 def finite_diff_grad(f, x, eps=1e-5):
     """Central differences of a scalar function f(x) of a Tensor x, element by element."""
     if eps <= 0:

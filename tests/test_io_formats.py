@@ -371,6 +371,17 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 1.25 * path.stat().st_size
 
+    def test_build_peak_memory_is_about_the_parameters(self):
+        # parameters are drawn in place, FILL_CHUNK values at a time: no whole-size temporaries
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "toy.cfg")
+        tracemalloc.start()
+        try:
+            store = pipeline.build_model(cfg, 3).store
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(p.data.nbytes for p in store.values()) + 2 * 2**20
+
 
 # lines that name real keys reach the value parsers and the cross-key checks;
 # raw text covers the line syntax

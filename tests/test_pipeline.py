@@ -10,7 +10,7 @@ import pytest
 from ivgf import fusion, gradcheck, pipeline
 from ivgf.backbone import MultiScaleFeatures
 from ivgf import augment
-from ivgf.errors import DetachedParameterError, FormatError, NonFiniteError
+from ivgf.errors import DetachedParameterError, DimensionError, FormatError, NonFiniteError
 from ivgf.io_formats import Config, load_config
 from ivgf.params import ParamStore
 from ivgf.rng import RngState
@@ -310,6 +310,13 @@ class TestParameterArena:
         with pytest.raises(DetachedParameterError, match="'b'"):
             opt.step({"a": np.ones(2), "b": np.ones(3)})
         assert opt.t == 0 and np.array_equal(store["a"].data, np.ones(2))
+
+    def test_duplicate_parameter_name_is_refused(self):
+        store = ParamStore()
+        store.add("a", Tensor(np.ones(2)))
+        with pytest.raises(DimensionError, match="'a'"):
+            store.add("a", Tensor(np.ones(3)))
+        assert store["a"].data.shape == (2,)
 
     def test_parameter_reached_once_gets_zero_gradient_next_step(self):
         store = ParamStore()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ivgf.rng import RngState
+from ivgf.errors import DimensionError
+from ivgf.rng import FILL_CHUNK, RngState
+from oracles import fill_uniform_oneshot
 
 
 def test_same_seed_same_sequence():
@@ -61,15 +63,42 @@ def test_fill_uniform_matches_scalar_draws():
     assert a.counter == b.counter == 12
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (FILL_CHUNK - 1,), (FILL_CHUNK,), (FILL_CHUNK + 1,),
+                                   (3 * FILL_CHUNK + 5,)])
+def test_fill_uniform_chunks_match_one_whole_draw(shape):
+    lo, hi, start = -0.75, 2.5, 7
+    rng = RngState(31).derive("chunks")
+    rng.counter = start
+    batch = rng.fill_uniform(shape, lo, hi)
+    assert batch.shape == shape
+    assert np.array_equal(batch, fill_uniform_oneshot(rng.seed, start, shape, lo, hi))
+    n = batch.size
+    flat = batch.reshape(-1)
+    for i in {0, FILL_CHUNK - 1, FILL_CHUNK, 2 * FILL_CHUNK, 3 * FILL_CHUNK, n - 1} & set(range(n)):
+        assert flat[i] == RngState(rng.seed, counter=start + i).uniform_in(lo, hi), i
+    assert rng.counter == start + n
+    assert rng.uniform() == RngState(rng.seed, counter=start + n).uniform()
+
+
+@pytest.mark.parametrize("shape", [(-1, 3), (3, -1), (2**40, 2**40), (0, 2**40, 2**40), (2**63,)])
+def test_fill_uniform_refuses_a_shape_before_drawing(shape):
+    # an empty draw that moved the counter back would make the stream replay
+    # its earlier values
+    rng = RngState(4, counter=10)
+    with pytest.raises(DimensionError):
+        rng.fill_uniform(shape)
+    assert rng.counter == 10
+
+
 def test_sample_distinct():
     rng = RngState(3)
     picks = rng.sample_distinct(10, 4)
     assert len(picks) == len(set(picks)) == 4
     assert all(0 <= p < 10 for p in picks)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         rng.sample_distinct(3, 5)
 
 
 def test_randint_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         RngState(0).randint(0)
