@@ -101,7 +101,8 @@ def encode_pnm(image: Tensor | np.ndarray) -> bytes:
     """Serialize a [3,H,W] (P6) or [1,H,W]/[H,W] (P5) image in [0,1].
 
     Quantization rounds half away from zero: v -> floor(255*v + 0.5).
-    Out-of-range values are rejected; clamping is the caller's decision.
+    Values outside [0,1], NaN included, are a FormatError; clamping is the
+    caller's decision.
     """
     arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
     if arr.ndim == 2:
@@ -110,10 +111,9 @@ def encode_pnm(image: Tensor | np.ndarray) -> bytes:
         raise DimensionError(f"PNM writer expects [1|3,H,W], got shape {arr.shape}")
     if arr.size == 0:
         raise DimensionError("cannot write an empty image")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError(
-            f"pixel values must lie in [0,1] (got min {arr.min():g}, max {arr.max():g}); clamp first"
-        )
+    lo, hi = arr.min(), arr.max()
+    if not (lo >= 0.0 and hi <= 1.0):  # a NaN fails both comparisons
+        raise FormatError(f"pixel values must lie in [0,1] (got min {lo:g}, max {hi:g}); clamp first")
     c, h, w = arr.shape
     quantized = np.floor(arr * 255.0 + 0.5).astype(np.uint8)
     magic = b"P5" if c == 1 else b"P6"
@@ -134,8 +134,11 @@ def encode_pgm_labels(ids: np.ndarray) -> bytes:
     ids = np.asarray(ids)
     if ids.ndim != 2:
         raise DimensionError(f"label map must be [H,W], got shape {ids.shape}")
-    if ids.min() < 0 or ids.max() > 255:
-        raise ValueError("label ids must fit in one byte")
+    if ids.size == 0:
+        raise DimensionError("cannot write an empty label map")
+    lo, hi = ids.min(), ids.max()
+    if not (lo >= 0 and hi <= 255):
+        raise FormatError(f"label ids must fit in one byte (got min {lo}, max {hi})")
     h, w = ids.shape
     return b"P5\n%d %d\n255\n" % (w, h) + ids.astype(np.uint8).tobytes()
 

@@ -378,7 +378,7 @@ def predict(model: Model, ir: Tensor, vis: Tensor, missing: str = "none") -> np.
 def evaluate(dataset, model: Model, missing: str = "none"):
     """Accumulate a confusion matrix over the dataset and report IoU."""
     if not dataset:
-        raise ValueError("cannot evaluate an empty dataset")
+        raise DimensionError("cannot evaluate an empty dataset")
     cm = ConfusionMatrix(model.config.head_classes)
     for scene in dataset:
         pred = predict(model, scene.ir, scene.vis, missing)

@@ -12,6 +12,10 @@ Conventions:
   * a kernel computes its output and nothing else; state only its backward
     needs (concat offsets, pooling argmax positions) is built inside the closure
     from the saved inputs, so a `no_grad()` pass never pays for it
+  * what both passes need (attention's probabilities, conv2d's im2col
+    columns) is not kept: the backward rebuilds it from the inputs, which the
+    tape holds anyway as the parents' .data, with the helper the forward
+    calls, so the rebuilt values are bit-identical
 """
 
 from __future__ import annotations
@@ -140,12 +144,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
+    out = np.where(x.data > 0.0, x.data, 0.0)
 
-    def back(g):
-        return (g * mask,)
+    def back(g):  # out > 0 exactly where x > 0 (NaN and -0.0 give 0.0), so no mask is kept
+        return (g * (out > 0.0),)
 
-    return _node(np.where(mask, x.data, 0.0), "relu", (x,), back)
+    return _node(out, "relu", (x,), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -279,11 +283,33 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(out, "linear", (x, weight, bias), back)
 
 
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int, h_out: int, w_out: int) -> np.ndarray:
+    """The columns [C_in*k*k, B*H_out*W_out] of a [B,C_in,H,W] stack, zero-padded by `padding`.
+
+    cols[c, di, dj, b, i, j] = padded[b, c, i*stride + di, j*stride + dj]. A
+    1x1 stride-1 kernel's columns are the stack itself, channels first: a
+    view for one item.
+    """
+    b, c_in, h, w = x.shape
+    if padding:  # one zeroed buffer and a slice copy: np.pad costs far more per call
+        xp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+    else:
+        xp = np.ascontiguousarray(x)
+    if k == 1 and stride == 1:
+        return xp.transpose(1, 0, 2, 3).reshape(c_in, -1)
+    sb, sc, sh, sw = xp.strides  # one copy of a strided view of xp
+    windows = np.ndarray((c_in, k, k, b, h_out, w_out), xp.dtype, xp, 0, (sc, sh, sw, sb, sh * stride, sw * stride))
+    return windows.copy().reshape(c_in * k * k, -1)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution of a [C,H,W] map or a [B,C,H,W] stack with [C_out,C_in,k,k] weights, zero padding.
 
     A [C,H,W] map runs as the B = 1 stack. The B items share one im2col
-    matrix [C_in*k*k, B*H_out*W_out] and one weight matmul.
+    matrix [C_in*k*k, B*H_out*W_out] and one weight matmul. The columns are
+    freed once that product is done; the backward rebuilds them with the
+    same `_im2col` for the weight gradient, so the tape keeps only x.
     """
     shape = x.data.shape
     if len(shape) not in (3, 4):
@@ -305,32 +331,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         raise DimensionError(f"conv2d: padded input {h}x{w} (pad {padding}) smaller than kernel {k}")
     h_out = (h + 2 * padding - k) // stride + 1
     w_out = (w + 2 * padding - k) // stride + 1
+    b = math.prod(shape[:-3])
 
-    xp = np.ascontiguousarray(x.data.reshape(-1, c_in, h, w))  # [B, C_in, H, W]
-    b = xp.shape[0]
-    if padding:  # one zeroed buffer and a slice copy: np.pad costs far more per call
-        xp, unpadded = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding)), xp
-        xp[:, :, padding : padding + h, padding : padding + w] = unpadded
+    def columns():
+        return _im2col(x.data.reshape(b, c_in, h, w), k, stride, padding, h_out, w_out)
 
-    if k == 1 and stride == 1:  # im2col is the stack itself, channels first: a view for one item
-        cols2 = xp.transpose(1, 0, 2, 3).reshape(c_in, -1)
-    else:  # im2col as one copy of a strided view of xp:
-        # cols[c, di, dj, b, i, j] = padded[b, c, i*s + di, j*s + dj]
-        sb, sc, sh, sw = xp.strides
-        windows = np.ndarray((c_in, k, k, b, h_out, w_out), xp.dtype, xp, 0, (sc, sh, sw, sb, sh * stride, sw * stride))
-        cols2 = windows.copy().reshape(c_in * k * k, -1)
-    out = weight.data.reshape(c_out, -1) @ cols2
+    out = weight.data.reshape(c_out, -1) @ columns()
     out += bias.data[:, None]
     out = out.reshape(c_out, b, h_out, w_out)
     out = np.ascontiguousarray(out.transpose(1, 0, 2, 3)).reshape(shape[:-3] + (c_out, h_out, w_out))
-    padded_shape = xp.shape
 
     def back(g):
         g2 = np.ascontiguousarray(g.reshape(b, c_out, -1).transpose(1, 0, 2)).reshape(c_out, -1)
-        gw = (g2 @ cols2.T).reshape(weight.data.shape)
+        gw = (g2 @ columns().T).reshape(weight.data.shape)
         gb = g2.sum(axis=1)
         gcols = (weight.data.reshape(c_out, -1).T @ g2).reshape(c_in, k, k, b, h_out, w_out)
-        gxp = np.zeros(padded_shape)
+        gxp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding))
         for di in range(k):
             for dj in range(k):
                 gxp[:, :, di : di + h_out * stride : stride, dj : dj + w_out * stride : stride] += (
@@ -367,13 +383,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _node(out, "layer_norm", (x, gamma, beta), back)
 
 
+def _softmax_(s: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, in place, stabilized by per-row max subtraction.
+
+    Each row gets exactly the values of the fresh-array expressions
+    e = exp(s - max), e / sum(e), whatever rows share the array.
+    """
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of [N,M], stabilized by per-row max subtraction."""
     if x.ndim != 2:
         raise DimensionError(f"softmax_rows expects [N,M], got shape {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = _softmax_(x.data.copy())
 
     def back(g):
         return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
@@ -387,10 +413,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, items: int = 1) -> Te
     Head h owns columns [h*d, (h+1)*d) with d = C/heads. With `items` = B,
     q holds B blocks of N rows and k, v B blocks of M rows, and block b
     attends only within itself. The (item, head) pairs run as contiguous
-    [B, heads, rows, d] stacks through batched matmuls and the softmax_rows
-    expressions along the last axis, computed in place, so each head
-    computes exactly what a per-head 2-d loop would; the backward runs its
-    softmax expressions over cache-sized groups of (item, head) slices.
+    [B*heads, rows, d] stacks through batched matmuls and the in-place
+    `_softmax_` along the last axis, so each head computes exactly what a
+    per-head 2-d loop would. The forward drops its [B*heads, N, M]
+    probabilities once the output is formed, so the tape keeps only q, k
+    and v. The backward walks cache-sized groups of (item, head) slices;
+    in each group it rebuilds the probabilities with the forward's own
+    `heads_of` and `_softmax_`, takes dV from them, writes dZ over them and
+    takes dQ and dK. Every product runs per slice, so the gradients are
+    bitwise the whole-stack ones.
     Gradients come back C-contiguous: numpy sums an F-ordered array in
     another order, which would change the bias gradients of the linear
     layers feeding q, k, v.
@@ -409,38 +440,45 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, items: int = 1) -> Te
     d = c // heads
     scale = 1.0 / (d**0.5)
 
-    def split(x, rows):  # [B*rows, C] -> [B, h, rows, d]
-        return np.ascontiguousarray(x.reshape(items, rows, heads, d).transpose(0, 2, 1, 3))
+    def split(x, rows):  # [B*rows, C] -> C-contiguous [B*h, rows, d]
+        return np.ascontiguousarray(x.reshape(items, rows, heads, d).transpose(0, 2, 1, 3)).reshape(-1, rows, d)
 
-    def merge(x, rows):  # [B, h, rows, d] -> C-contiguous [B*rows, C]
-        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(-1, c)
+    def merge(x, rows):  # [B*h, rows, d] -> C-contiguous [B*rows, C]
+        return np.ascontiguousarray(x.reshape(items, heads, rows, d).transpose(0, 2, 1, 3)).reshape(-1, c)
 
-    qh, vh = split(q.data, n), split(v.data, m)
-    kt = np.ascontiguousarray(k.data.reshape(items, m, heads, d).transpose(0, 2, 3, 1))  # [B, h, d, M]
+    def heads_of():  # q [B*h, N, d], k^T [B*h, d, M] and v [B*h, M, d]
+        kt = np.ascontiguousarray(k.data.reshape(items, m, heads, d).transpose(0, 2, 3, 1)).reshape(-1, d, m)
+        return split(q.data, n), kt, split(v.data, m)
+
+    qh, kt, vh = heads_of()
     s = qh @ kt  # scores, then the softmax in place: the same values as fresh arrays
     s *= scale
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    out = merge(_softmax_(s) @ vh, n)
 
     def back(g):
-        go = split(g, n)
-        gz = np.empty_like(s)
-        # the dZ expressions run over groups of (item, head) slices of at most
-        # ATTENTION_TILE scores, so each group's temporaries stay in cache
-        go3, vt3 = go.reshape(-1, n, d), vh.swapaxes(-1, -2).reshape(-1, d, m)
-        gz3, s3 = gz.reshape(-1, n, m), s.reshape(-1, n, m)
-        step = max(1, ATTENTION_TILE // (n * m))
-        for i in range(0, len(s3), step):
-            z, p = gz3[i : i + step], s3[i : i + step]
-            np.matmul(go3[i : i + step], vt3[i : i + step], out=z)
+        qh, kt, vh = heads_of()
+        go, vt = split(g, n), vh.swapaxes(-1, -2)
+        gq, gkt, gv = np.empty_like(qh), np.empty_like(kt), np.empty_like(vh)
+        # groups of (item, head) slices of at most ATTENTION_TILE scores, so
+        # each group's probabilities and temporaries stay in cache
+        step = min(len(qh), max(1, ATTENTION_TILE // (n * m)))
+        probs, dprobs = np.empty((step, n, m)), np.empty((step, n, m))
+        for i in range(0, len(qh), step):
+            t = slice(i, i + step)
+            p, z = probs[: len(qh[t])], dprobs[: len(qh[t])]
+            np.matmul(qh[t], kt[t], out=p)
+            p *= scale
+            _softmax_(p)
+            np.matmul(p.swapaxes(-1, -2), go[t], out=gv[t])
+            np.matmul(go[t], vt[t], out=z)
             z -= (z * p).sum(axis=-1, keepdims=True)
-            z *= p
-            z *= scale
-        gk = (qh.swapaxes(-1, -2) @ gz).swapaxes(-1, -2)  # (Q^T dZ)^T
-        return merge(gz @ kt.swapaxes(-1, -2), n), merge(gk, m), merge(s.swapaxes(-1, -2) @ go, m)
+            p *= z  # dZ over the probabilities: this group needs them no more
+            p *= scale
+            np.matmul(p, kt[t].swapaxes(-1, -2), out=gq[t])
+            np.matmul(qh[t].swapaxes(-1, -2), p, out=gkt[t])  # Q^T dZ = dK^T
+        return merge(gq, n), merge(gkt.swapaxes(-1, -2), m), merge(gv, m)
 
-    return _node(merge(s @ vh, n), "attention", (q, k, v), back)
+    return _node(out, "attention", (q, k, v), back)
 
 
 # -- pooling ----------------------------------------------------------------

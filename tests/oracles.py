@@ -11,6 +11,7 @@ gradients.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -435,3 +436,18 @@ def inject_fault(monkeypatch, op, transform):
 
     for module in (tensor, pipeline):
         monkeypatch.setattr(module, "_node", faulty_node)
+
+
+def traced_peak(fn):
+    """Run fn under tracemalloc; return (fn's result, peak bytes, bytes still held when it returned).
+
+    Only allocations made inside fn count: memory that existed before it
+    (the parameters, a tape built earlier) adds nothing, even when fn frees it.
+    """
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held

@@ -2,7 +2,6 @@
 
 import dataclasses
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from ivgf.io_formats import (
 )
 from ivgf.params import ParamStore
 from ivgf.tensor import Tensor
+from oracles import traced_peak
 
 
 class TestReadPnm:
@@ -90,8 +90,20 @@ class TestWritePnm:
         assert np.array_equal(quantized.data, again.data)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="clamp"):
-            encode_pnm(np.full((3, 2, 2), 1.2))
+        for value in (1.2, -0.1, np.nan, np.inf):  # a NaN pixel is out of range too
+            image = np.full((3, 2, 2), 0.5)
+            image[1, 0, 1] = value
+            with pytest.raises(FormatError, match="clamp"):
+                encode_pnm(image)
+
+    @pytest.mark.parametrize("ids, error", [
+        (np.array([[0, 256]]), FormatError),
+        (np.array([[-1, 3]]), FormatError),
+        (np.zeros((0, 4), dtype=np.int64), DimensionError),
+    ])
+    def test_label_ids_outside_one_byte_rejected(self, ids, error):
+        with pytest.raises(error):
+            encode_pgm_labels(ids)
 
     def test_grayscale_goes_to_p5(self):
         data = encode_pnm(np.full((1, 2, 2), 1.0))
@@ -363,23 +375,13 @@ class TestCheckpoint:
         store = pipeline.build_model(cfg, 1).store
         path = tmp_path / "model.ckpt"
         path.write_bytes(encode_checkpoint(pipeline.build_model(cfg, 2).store))
-        tracemalloc.start()
-        try:
-            store.load_arrays(load_checkpoint(path).arrays())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(lambda: store.load_arrays(load_checkpoint(path).arrays()))
         assert peak < 1.25 * path.stat().st_size
 
     def test_build_peak_memory_is_about_the_parameters(self):
         # parameters are drawn in place, FILL_CHUNK values at a time: no whole-size temporaries
         cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "toy.cfg")
-        tracemalloc.start()
-        try:
-            store = pipeline.build_model(cfg, 3).store
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        store, peak, _ = traced_peak(lambda: pipeline.build_model(cfg, 3).store)
         assert peak <= sum(p.data.nbytes for p in store.values()) + 2 * 2**20
 
 

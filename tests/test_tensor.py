@@ -519,6 +519,39 @@ def test_attention_backward_does_not_depend_on_the_grouping(monkeypatch, tile):
         assert np.array_equal(got, want)
 
 
+def test_relu_gradient_is_bitwise_the_input_mask_form():
+    # the backward reads its mask off the output: out > 0 holds exactly where x > 0
+    rng = RNG(61)
+    special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0])
+    for x in (special, rng.normal(0.0, 3.0, (4, 5, 6))):
+        g = rng.uniform(-1, 1, x.shape)
+        t = Tensor(x, requires_grad=True)
+        grad = backward((relu(t) * Tensor(g)).sum(), [t])[0]
+        assert np.array_equal(grad.view(np.int64), (g * (x > 0.0)).view(np.int64))
+
+
+@pytest.mark.parametrize("case", ["conv3x3_pad1_stride2", "conv1x1", "attention"])
+def test_a_second_backward_on_one_graph_gives_the_same_bits(monkeypatch, case):
+    # the backward rebuilds what the forward dropped and overwrites only those fresh copies
+    rng = RNG(62)
+    if case == "attention":
+        monkeypatch.setattr(tensor, "ATTENTION_TILE", 2 * 5 * 4)  # 6 slices of 5x4 scores: 3 groups of 2
+        inputs = [Tensor(rng.uniform(-2, 2, (2 * rows, 6)), requires_grad=True) for rows in (5, 4, 4)]
+        out = attention(*inputs, 3, 2)
+    else:
+        k, stride, padding = (3, 2, 1) if case.startswith("conv3x3") else (1, 1, 0)
+        inputs = [Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+                  for shape in ((2, 3, 7, 7), (4, 3, k, k), (4,))]
+        out = conv2d(*inputs, stride=stride, padding=padding)
+    before = [t.data.copy() for t in (*inputs, out)]
+    loss = (out * Tensor(rng.uniform(-1, 1, out.shape))).sum()
+    first, second = backward(loss, inputs), backward(loss, inputs)
+    for a, b in zip(first, second):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    for t, data in zip((*inputs, out), before):
+        assert np.array_equal(t.data.view(np.int64), data.view(np.int64))
+
+
 class TestSigmoidAgainstTheMaskedForm:
     """sigmoid is bitwise the two-branch masked form (oracles.sigmoid_masked), gradients too."""
 
