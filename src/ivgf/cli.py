@@ -95,8 +95,8 @@ def _load_model(cfg, seed: int, ckpt_path):
     if ckpt_path is not None:
         if not os.path.exists(ckpt_path):
             raise FileNotFoundError(f"checkpoint not found: {ckpt_path}")
-        loaded = io_formats.load_checkpoint(ckpt_path)
-        model.store.load_arrays(loaded.arrays())
+        with io_formats.load_checkpoint(ckpt_path) as loaded:
+            model.store.load_arrays(loaded.arrays())
     return model
 
 

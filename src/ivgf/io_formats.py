@@ -3,13 +3,18 @@
 Everything here is platform independent: checkpoints are little-endian with
 32-bit float payloads (widened to 64-bit as they are written into a
 `ParamStore`), text formats are plain UTF-8. Parsers reject malformed input
-wholesale; nothing is ever partially loaded.
+wholesale; nothing is ever partially loaded. A checkpoint is not read whole:
+`load_checkpoint` checks the file's structure from its entry headers alone,
+and each entry's values are read from the open file when it is looked up.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,66 +177,132 @@ def encode_checkpoint(store: ParamStore) -> bytes:
     return b"".join(chunks)
 
 
-class Checkpoint(dict):
-    """A decoded checkpoint: read-only float32 arrays by name, in file order.
+class Checkpoint(Mapping):
+    """An open, indexed checkpoint file: read-only float32 arrays by name, in file order.
 
-    Each array is a view into the bytes the checkpoint was decoded from, so
-    decoding copies no payload; widening to float64 happens where the
-    values are written, in `ParamStore.load_arrays`.
+    The index holds each entry's payload offset and shape, not its values.
+    Each lookup reads that entry from the open file into a fresh read-only
+    `<f4` array, so only the entries a caller still holds are in memory;
+    widening to float64 happens where the values are written, in
+    `ParamStore.load_arrays`. A lookup raises `FormatError` naming the entry
+    when its payload reads short or the file's size or modification time
+    differs from what the index saw: the file was rewritten in place.
+
+    The file closes on `close()`, on leaving a `with` block, or when the
+    checkpoint is garbage collected.
     """
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        return dict(self)
+    def __init__(self, fh, index: dict[str, tuple[int, tuple]], stamp: tuple[int, int]):
+        self._fh = fh
+        self._index = index  # name -> (payload offset, shape)
+        self._stamp = stamp
+        self._close = weakref.finalize(self, fh.close)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        offset, shape = self._index[name]
+        values = np.empty(shape, dtype="<f4")
+        self._fh.seek(offset)
+        got = self._fh.readinto(values)  # a buffered read stops short only at the end of the file
+        if got < values.nbytes or _stamp(self._fh) != self._stamp:
+            raise FormatError(f"checkpoint changed on disk while reading entry {name!r}", offset=offset + got)
+        values.flags.writeable = False
+        return values
+
+    def __contains__(self, name) -> bool:
+        return name in self._index  # Mapping's default would read the entry
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def arrays(self) -> Checkpoint:
+        return self
+
+    def close(self):
+        self._close()
+
+    def __enter__(self) -> Checkpoint:
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
-def decode_checkpoint(data: bytes) -> Checkpoint:
+def _stamp(fh) -> tuple[int, int]:
+    st = os.fstat(fh.fileno())
+    return st.st_size, st.st_mtime_ns
+
+
+_ONE_F4 = np.zeros(1, dtype="<f4")
+
+
+def _index_checkpoint(fh) -> tuple[dict[str, tuple[int, tuple]], tuple[int, int]]:
+    """Read every entry's header from the start of fh, seeking over payloads; return the index and the file's stamp."""
+    stamp = _stamp(fh)
+    size = stamp[0]
     pos = 0
 
-    def take(n: int, what: str) -> int:
-        """Claim the next n bytes and return their offset."""
+    def claim(n: int, what: str) -> int:
+        """Claim the next n bytes of the file and return their offset."""
         nonlocal pos
-        if len(data) - pos < n:
+        if size - pos < n:
             raise FormatError(f"truncated checkpoint while reading {what}", offset=pos)
         pos += n
         return pos - n
 
-    def unpack(fmt: str, what: str) -> tuple:
-        return struct.unpack_from(fmt, data, take(struct.calcsize(fmt), what))
+    def take(n: int, what: str) -> bytes:
+        start = claim(n, what)
+        data = fh.read(n)
+        if len(data) < n:  # the file shrank after the stamp was taken
+            raise FormatError(f"checkpoint changed on disk while reading {what}", offset=start)
+        return data
 
-    take(4, "magic")
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {data[:4]!r}", offset=0)
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    magic = take(4, "magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"bad checkpoint magic {magic!r}", offset=0)
     version, count = unpack("<II", "header")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    entries = Checkpoint()
+    index = {}
     for _ in range(count):
         (name_len,) = unpack("<I", "name length")
-        start = take(name_len, "name")
+        start = pos
+        raw_name = take(name_len, "name")
         try:
-            name = bytes(data[start:pos]).decode("utf-8")
+            name = raw_name.decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("checkpoint entry name is not UTF-8", offset=start) from None
         (ndim,) = unpack("<I", "ndim")
         dims = unpack(f"<{ndim}I", "dims")
-        n_values = math.prod(dims)  # exact: a product too large for the data fails the length check
-        start = take(4 * n_values, f"values of {name!r}")
-        if name in entries:
+        n_values = math.prod(dims)  # exact: a product too large for the file fails the size check
+        start = claim(4 * n_values, f"values of {name!r}")
+        fh.seek(pos)
+        if name in index:
             raise FormatError(f"duplicate checkpoint entry {name!r}", offset=pos)
-        values = np.frombuffer(data, dtype="<f4", count=n_values, offset=start)
-        try:
-            values = values.reshape(dims)
+        try:  # a zero-stride probe asks numpy whether it can hold the shape, allocating nothing
+            np.ndarray(dims, dtype="<f4", buffer=_ONE_F4, strides=(0,) * ndim)
         except ValueError as exc:  # more than 64 dims, or a size numpy cannot index even with a 0 dim
             raise FormatError(f"entry {name!r} has a shape numpy cannot hold: {exc}", offset=pos) from None
-        entries[name] = values
-    if pos != len(data):
-        raise FormatError(f"{len(data) - pos} trailing bytes after last entry", offset=pos)
-    return entries
+        index[name] = (start, dims)
+    if pos != size:
+        raise FormatError(f"{size - pos} trailing bytes after last entry", offset=pos)
+    return index, stamp
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        return decode_checkpoint(fh.read())
+    """Open and index a checkpoint file; an entry's values are read when it is looked up."""
+    fh = open(path, "rb")
+    try:
+        index, stamp = _index_checkpoint(fh)
+    except BaseException:
+        fh.close()
+        raise
+    return Checkpoint(fh, index, stamp)
 
 
 # -- config files --------------------------------------------------------------

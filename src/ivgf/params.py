@@ -8,6 +8,7 @@ other parameter's values. Biases start at zero, norm gains at one.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -41,14 +42,17 @@ class ParamStore:
     def values(self):
         return self._params.values()
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]):
+    def load_arrays(self, arrays: Mapping[str, np.ndarray]):
         """Copy values in by name, in place; names and shapes must match exactly.
 
-        Every entry is checked (shape, then finiteness) before any is
-        written, so a refused load leaves the store as it was. Entries keep
-        their dtype until written: float32 checkpoint views are checked as
-        float32 (finite exactly when their float64 widening is) and widened
-        by the write itself, with no float64 copy.
+        Two passes over the mapping, each looking every entry up afresh. The
+        check pass checks each entry's shape, then its finiteness, and keeps
+        none of them; the write pass widens each straight into its parameter.
+        So a refused load leaves the store as it was, and a `Checkpoint`,
+        which reads an entry per lookup, holds one entry in memory at a time.
+        Float32 entries are checked as float32 (finite exactly when their
+        float64 widening is) and widened by the write itself, with no float64
+        copy.
         """
         missing = [n for n in self._params if n not in arrays]
         extra = [n for n in arrays if n not in self._params]
@@ -56,19 +60,18 @@ class ParamStore:
             raise DimensionError(
                 f"parameter set mismatch: missing {missing[:3]}, unexpected {extra[:3]}"
             )
-        checked = []
-        for name, values in arrays.items():
-            p = self._params[name]
-            values = np.asarray(values)
-            if values.shape != p.data.shape:
+        for name in arrays:
+            values = np.asarray(arrays[name])
+            shape = self._params[name].data.shape
+            if values.shape != shape:
                 raise DimensionError(
-                    f"parameter {name!r}: stored shape {values.shape} != model shape {p.data.shape}"
+                    f"parameter {name!r}: stored shape {values.shape} != model shape {shape}"
                 )
             if not np.all(np.isfinite(values)):
                 raise NonFiniteError(f"parameter {name!r} holds a NaN or infinite value; refusing to load it")
-            checked.append((p, values))
-        for p, values in checked:
-            p.data[...] = values
+            del values  # before the next lookup allocates its entry
+        for name in arrays:
+            self._params[name].data[...] = arrays[name]
 
     def views(self, arena: np.ndarray) -> dict[str, np.ndarray]:
         """{name: view} of a flat arena cut into the parameters' shapes, in store order."""

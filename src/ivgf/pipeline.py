@@ -155,7 +155,7 @@ def miou(cm: ConfusionMatrix):
             per_class.append(iou)
             valid.append(iou)
     if not valid:
-        raise ValueError("mIoU undefined: every class has an empty union")
+        raise DimensionError("mIoU undefined: every class has an empty union")
     return float(np.mean(valid)), per_class
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ivgf import augment, cli, io_formats, pipeline
+from ivgf.errors import FormatError, NonFiniteError
 from ivgf.rng import RngState
 from oracles import FAULTS, inject_fault
 
@@ -506,6 +507,43 @@ def test_checkpoint_holding_nan_is_exit_5_and_leaves_no_results_dir(tmp_path, sm
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "'head.classifier.b'" in err
     assert not out.exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts the entries of /proc/self/fd")
+@pytest.mark.filterwarnings("error::ResourceWarning")
+def test_checkpoint_loads_leave_no_file_descriptor_open(tmp_path, small_config):
+    cfg = io_formats.parse_config(SMALL_CFG)
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(io_formats.encode_checkpoint(pipeline.build_model(cfg, seed=1).store))
+    data = bytearray(ckpt.read_bytes())
+    data[-4:] = struct.pack("<f", float("nan"))
+    nan = tmp_path / "nan.ckpt"
+    nan.write_bytes(bytes(data))
+    truncated = tmp_path / "truncated.ckpt"
+    truncated.write_bytes(bytes(data[:-1]))
+    scenes = tmp_path / "data"
+    assert cli.main(["make-data", "--config", small_config, "--count", "1", "--out-dir", str(scenes)]) == 0
+    store = pipeline.build_model(cfg, seed=0).store
+
+    def load(path):  # the benchmark's one-line form
+        store.load_arrays(io_formats.load_checkpoint(path).arrays())
+
+    def evaluate(path, out):
+        return cli.main(["eval", "--config", small_config, "--ckpt", str(path), "--data", str(scenes),
+                         "--out-dir", str(tmp_path / out)])
+
+    before = len(os.listdir("/proc/self/fd"))
+    load(ckpt)
+    with pytest.raises(NonFiniteError):
+        load(nan)
+    with pytest.raises(FormatError):
+        load(truncated)
+    assert (evaluate(ckpt, "o1"), evaluate(nan, "o2"), evaluate(truncated, "o3")) == (0, 5, 3)
+    assert len(os.listdir("/proc/self/fd")) == before
+    with io_formats.load_checkpoint(ckpt) as loaded:
+        name = next(iter(loaded))
+    with pytest.raises(ValueError, match="closed file"):
+        loaded[name]
 
 
 @pytest.mark.parametrize("classes", ["256", "300"])

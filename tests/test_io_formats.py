@@ -1,6 +1,7 @@
 """Format round trips and rejection paths for PNM, checkpoints, config."""
 
 import dataclasses
+import os
 import struct
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from ivgf import io_formats, pipeline
 from ivgf.errors import ConfigError, DimensionError, FormatError, NonFiniteError
 from ivgf.io_formats import (
     Config,
-    decode_checkpoint,
     encode_checkpoint,
     encode_pgm_labels,
     encode_pnm,
@@ -183,6 +183,12 @@ class TestPnmHeader:
             assert rejected[0] == rejected[1]
 
 
+def _load_bytes(path: Path, data: bytes):
+    """Index checkpoint bytes as a file on disk is: write them to path, then load it."""
+    path.write_bytes(data)
+    return load_checkpoint(path)
+
+
 def _one_entry_checkpoint(name: bytes, dims, payload: bytes) -> bytes:
     return (b"IVGF" + struct.pack("<III", 1, 1, len(name)) + name
             + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + payload)
@@ -213,10 +219,10 @@ class TestCheckpoint:
             store.add(name, Tensor(arr))
         return store
 
-    def test_empty_store_round_trip(self):
+    def test_empty_store_round_trip(self, tmp_path):
         data = encode_checkpoint(ParamStore())
         assert data == b"IVGF" + (1).to_bytes(4, "little") + (0).to_bytes(4, "little")
-        assert len(decode_checkpoint(data)) == 0
+        assert len(_load_bytes(tmp_path / "c.ckpt", data)) == 0
 
     def test_single_tensor_round_trip(self, tmp_path):
         store = self._store({"layer.w": np.array([[1.5, -2.25], [0.125, 3.0]])})
@@ -227,46 +233,46 @@ class TestCheckpoint:
         assert loaded["layer.w"].shape == (2, 2)
         assert np.array_equal(loaded["layer.w"], store["layer.w"].data)
 
-    def test_values_survive_within_float32(self):
+    def test_values_survive_within_float32(self, tmp_path):
         rng = np.random.default_rng(2)
         arrays = {"a.w": rng.uniform(-3, 3, (4, 5)), "b.b": rng.uniform(-1, 1, 7)}
-        loaded = decode_checkpoint(encode_checkpoint(self._store(arrays)))
+        loaded = _load_bytes(tmp_path / "c.ckpt", encode_checkpoint(self._store(arrays)))
         for name, arr in arrays.items():
             assert np.array_equal(loaded[name], arr.astype(np.float32).astype(np.float64))
 
-    def test_name_order_preserved(self):
+    def test_name_order_preserved(self, tmp_path):
         arrays = {"z.w": np.ones(2), "a.w": np.zeros(3), "m.w": np.ones(1)}
-        loaded = decode_checkpoint(encode_checkpoint(self._store(arrays)))
+        loaded = _load_bytes(tmp_path / "c.ckpt", encode_checkpoint(self._store(arrays)))
         assert list(loaded) == ["z.w", "a.w", "m.w"]
 
-    def test_bad_magic_rejected(self):
+    def test_bad_magic_rejected(self, tmp_path):
         data = bytearray(encode_checkpoint(self._store({"a": np.ones(2)})))
         data[0] = ord("X")
         with pytest.raises(FormatError, match="magic"):
-            decode_checkpoint(bytes(data))
+            _load_bytes(tmp_path / "c.ckpt", bytes(data))
 
-    def test_bad_version_rejected(self):
+    def test_bad_version_rejected(self, tmp_path):
         data = bytearray(encode_checkpoint(ParamStore()))
         data[4] = 9
         with pytest.raises(FormatError, match="version"):
-            decode_checkpoint(bytes(data))
+            _load_bytes(tmp_path / "c.ckpt", bytes(data))
 
-    def test_truncation_rejected(self):
+    def test_truncation_rejected(self, tmp_path):
         data = encode_checkpoint(self._store({"a": np.ones(4)}))
         for cut in (len(data) - 1, len(data) - 5, 10):
             with pytest.raises(FormatError, match="truncated"):
-                decode_checkpoint(data[:cut])
+                _load_bytes(tmp_path / "c.ckpt", data[:cut])
 
-    def test_trailing_bytes_rejected(self):
+    def test_trailing_bytes_rejected(self, tmp_path):
         data = encode_checkpoint(self._store({"a": np.ones(4)}))
         with pytest.raises(FormatError, match="trailing"):
-            decode_checkpoint(data + b"\x00")
+            _load_bytes(tmp_path / "c.ckpt", data + b"\x00")
 
-    def test_byte_flip_changes_exactly_one_value(self):
+    def test_byte_flip_changes_exactly_one_value(self, tmp_path):
         arrays = {"a.w": np.full(6, 0.5), "b.w": np.full(3, 0.5)}
         data = bytearray(encode_checkpoint(self._store(arrays)))
         data[-6] ^= 0x01  # inside the last entry's payload
-        loaded = decode_checkpoint(bytes(data))
+        loaded = _load_bytes(tmp_path / "c.ckpt", bytes(data))
         diff_a = np.count_nonzero(loaded["a.w"] != 0.5)
         diff_b = np.count_nonzero(loaded["b.w"] != 0.5)
         assert diff_a + diff_b == 1
@@ -275,28 +281,30 @@ class TestCheckpoint:
         with pytest.raises(NonFiniteError, match="not finite"):
             encode_checkpoint(self._store({"a": np.array([1.0, np.nan])}))
 
-    def test_name_not_utf8_rejected(self):
+    def test_name_not_utf8_rejected(self, tmp_path):
         data = _one_entry_checkpoint(b"\xffa", (2,), bytes(8))
         with pytest.raises(FormatError, match="UTF-8"):
-            decode_checkpoint(data)
+            _load_bytes(tmp_path / "c.ckpt", data)
 
-    def test_dims_whose_product_overflows_int64_rejected(self):
+    def test_dims_whose_product_overflows_int64_rejected(self, tmp_path):
         # 2**21 * 2**21 * 2**22 wraps to 0 in int64; the exact product fails the length check
         data = _one_entry_checkpoint(b"a", (2**21, 2**21, 2**22), b"")
         with pytest.raises(FormatError, match="truncated"):
-            decode_checkpoint(data)
+            _load_bytes(tmp_path / "c.ckpt", data)
 
     @pytest.mark.parametrize("dims", [(1,) * 65, (0, 2**31, 2**31)], ids=["65_dims", "empty_but_huge"])
-    def test_shape_numpy_cannot_hold_rejected(self, dims):
+    def test_shape_numpy_cannot_hold_rejected(self, tmp_path, dims):
         data = _one_entry_checkpoint(b"a", dims, bytes(4 if all(dims) else 0))
         with pytest.raises(FormatError, match="shape numpy cannot hold"):
-            decode_checkpoint(data)
+            _load_bytes(tmp_path / "c.ckpt", data)
 
     @settings(max_examples=200, deadline=None)
     @given(raw=_CHECKPOINT_LIKE)
-    def test_arbitrary_bytes_raise_only_format_error(self, raw):
+    def test_arbitrary_bytes_raise_only_format_error(self, tmp_path_factory, raw):
         try:
-            decode_checkpoint(raw)
+            with _load_bytes(tmp_path_factory.getbasetemp() / "fuzz.ckpt", raw) as loaded:
+                for name in loaded:
+                    loaded[name]
         except FormatError:
             pass
 
@@ -320,14 +328,15 @@ class TestCheckpoint:
             store.load_arrays({"a": np.ones(2), "b": np.array([1.0, 2.0, bad])})
         assert not store["a"].data.any() and not store["b"].data.any()
 
-    def test_entries_are_read_only_float32_views_of_the_bytes(self):
+    def test_each_lookup_reads_a_fresh_read_only_float32_array(self, tmp_path):
         data = encode_checkpoint(self._store({"a": np.ones((2, 3)), "b": np.zeros(4)}))
-        loaded = decode_checkpoint(data)
+        loaded = _load_bytes(tmp_path / "c.ckpt", data)
         assert len(loaded) == 2
         for name in loaded:
-            entry = loaded[name]
-            assert entry.dtype == np.dtype("<f4") and not entry.flags.writeable
-            assert not entry.flags.owndata  # a view, not a copy
+            first, second = loaded[name], loaded[name]
+            for entry in (first, second):
+                assert entry.dtype == np.dtype("<f4") and not entry.flags.writeable
+            assert not np.shares_memory(first, second) and first.tobytes() == second.tobytes()
         assert loaded.arrays().keys() == {"a", "b"}
 
     @settings(max_examples=60, deadline=None)
@@ -337,9 +346,9 @@ class TestCheckpoint:
                    elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
         max_size=5,
     ))
-    def test_round_trip_is_exact_on_float32_values_and_keeps_order(self, entries):
+    def test_round_trip_is_exact_on_float32_values_and_keeps_order(self, tmp_path_factory, entries):
         store = self._store({name: arr.astype(np.float64) for name, arr in entries.items()})
-        loaded = decode_checkpoint(encode_checkpoint(store))
+        loaded = _load_bytes(tmp_path_factory.getbasetemp() / "round_trip.ckpt", encode_checkpoint(store))
         assert list(loaded) == list(entries)
         target = self._store({name: np.full(arr.shape, 7.0) for name, arr in entries.items()})
         target.load_arrays(loaded.arrays())
@@ -369,14 +378,34 @@ class TestCheckpoint:
             store.load_arrays(load_checkpoint(path).arrays())
         assert {name: p.data.tobytes() for name, p in store.items()} == before
 
-    def test_load_peak_memory_is_about_one_file(self, tmp_path):
-        # the file's bytes are the one buffer: no float64 copy, no per-entry slices
+    @pytest.mark.parametrize("rewrite", ["other_size", "same_size"])
+    def test_file_rewritten_in_place_after_indexing_is_refused_and_nothing_written(self, tmp_path, rewrite):
+        cfg = Config(backbone_base_width=8, head_width=8, data_image_size=32)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(encode_checkpoint(pipeline.build_model(cfg, 2).store))
+        store = pipeline.build_model(cfg, 1).store
+        before = {name: p.data.tobytes() for name, p in store.items()}
+        loaded = load_checkpoint(path)
+        if rewrite == "other_size":
+            path.write_bytes(encode_checkpoint(pipeline.build_model(dataclasses.replace(cfg, head_width=16), 3).store))
+        else:
+            stat = path.stat()
+            path.write_bytes(encode_checkpoint(pipeline.build_model(cfg, 3).store))
+            # a rewrite a clock tick later, even where the file system's clock is too coarse to show it
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+        first = list(dict(store.items()))[0]
+        with pytest.raises(FormatError, match=f"changed on disk while reading entry {first!r}"):
+            store.load_arrays(loaded.arrays())
+        assert {name: p.data.tobytes() for name, p in store.items()} == before
+
+    def test_load_peak_memory_is_about_one_entry(self, tmp_path):
+        # entries are read one lookup at a time and widened in place: no file buffer, no float64 copy
         cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "toy.cfg")
         store = pipeline.build_model(cfg, 1).store
         path = tmp_path / "model.ckpt"
         path.write_bytes(encode_checkpoint(pipeline.build_model(cfg, 2).store))
         _, peak, _ = traced_peak(lambda: store.load_arrays(load_checkpoint(path).arrays()))
-        assert peak < 1.25 * path.stat().st_size
+        assert peak <= max(4 * p.data.size for p in store.values()) + 2**20
 
     def test_build_peak_memory_is_about_the_parameters(self):
         # parameters are drawn in place, FILL_CHUNK values at a time: no whole-size temporaries

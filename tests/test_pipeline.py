@@ -153,7 +153,7 @@ class TestMiou:
         assert overall == 1.0
 
     def test_all_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError, match="every class has an empty union"):
             pipeline.miou(pipeline.ConfusionMatrix(2))
 
     def test_relabeling_invariance(self):
