@@ -65,8 +65,12 @@ def _write_results(out_dir: Path, command: str, cfg, seed: int, files: dict) -> 
     """Write run_metadata.txt to out_dir, then each {path: bytes} of files.
 
     `main` calls this once a command has returned every result encoded, so
-    a failed command leaves no directory.
+    a failed command leaves no directory. Every target is checked before
+    anything is created: one that is an existing directory fails the write.
     """
+    for path in (out_dir / "run_metadata.txt", *files):
+        if path.is_dir():
+            raise IsADirectoryError(f"output path is a directory: {path}")
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
         f"command = {command}",

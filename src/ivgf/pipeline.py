@@ -24,6 +24,7 @@ from .tensor import (
     conv2d,
     named_gradients,
     no_grad,
+    recorded,
     relu,
     trace,
     upsample_nearest,
@@ -62,6 +63,7 @@ def seg_forward(feats: backbone.MultiScaleFeatures, head: SegHead) -> Tensor:
 # -- loss ------------------------------------------------------------------------
 
 
+@recorded
 def cross_entropy(logits: Tensor, mask: np.ndarray) -> Tensor:
     """Mean over pixels not labelled IGNORE_LABEL of -log softmax at the true class.
 

@@ -16,10 +16,15 @@ Conventions:
     columns) is not kept: the backward rebuilds it from the inputs, which the
     tape holds anyway as the parents' .data, with the helper the forward
     calls, so the rebuilt values are bit-identical
+  * every kernel (and `Tensor.sum`, and `pipeline.cross_entropy`) is
+    `@recorded`: inside `record()` each call appends (out, kernel, args,
+    kwargs) to a list, so a caller can re-run just the calls a changed input
+    reaches; outside it a call costs one wrapper frame and one global check
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from contextlib import contextmanager
@@ -40,6 +45,40 @@ LAYER_NORM_EPS = 1e-5  # added to layer_norm's variance before the square root
 
 # False inside no_grad(): _node then records nothing for backward.
 _grad_enabled = True
+
+# The list record() appends kernel calls to while it is open, else None.
+_calls = None
+
+
+def recorded(kernel):
+    """Make kernel append (out, kernel, args, kwargs) to the open record() list per call.
+
+    The undecorated kernel is what gets recorded, so re-running an entry
+    records nothing and skips this wrapper.
+    """
+
+    @functools.wraps(kernel)
+    def call(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        if _calls is not None:
+            _calls.append((out, kernel, args, kwargs))
+        return out
+
+    return call
+
+
+@contextmanager
+def record():
+    """Collect every `@recorded` kernel call made inside, in call order, into the list yielded.
+
+    The previous list (or none) returns on exit, also on error.
+    """
+    global _calls
+    previous, _calls = _calls, []
+    try:
+        yield _calls
+    finally:
+        _calls = previous
 
 
 class Tensor:
@@ -82,6 +121,7 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
+    @recorded
     def sum(self) -> "Tensor":
         x = self
 
@@ -129,6 +169,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # -- elementwise kernels ----------------------------------------------------
 
 
+@recorded
 def add(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -136,6 +177,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, "add", (a, b), back)
 
 
+@recorded
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
@@ -143,6 +185,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data * b.data, "mul", (a, b), back)
 
 
+@recorded
 def relu(x: Tensor) -> Tensor:
     out = np.where(x.data > 0.0, x.data, 0.0)
 
@@ -152,6 +195,7 @@ def relu(x: Tensor) -> Tensor:
     return _node(out, "relu", (x,), back)
 
 
+@recorded
 def sigmoid(x: Tensor) -> Tensor:
     # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, so both tails stay
     # finite: e = exp(-|x|) is exactly exp(-x) on the first branch and exp(x) on
@@ -168,6 +212,7 @@ def sigmoid(x: Tensor) -> Tensor:
 # -- shape kernels ----------------------------------------------------------
 
 
+@recorded
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
 
@@ -177,6 +222,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _node(x.data.reshape(shape), "reshape", (x,), back)
 
 
+@recorded
 def tokens(fmap: Tensor) -> Tensor:
     """A [C,H,W] map as C-contiguous [H*W, C] token rows, in row-major position order.
 
@@ -194,6 +240,7 @@ def tokens(fmap: Tensor) -> Tensor:
     return _node(rows, "tokens", (fmap,), back)
 
 
+@recorded
 def feature_map(rows: Tensor, h: int, w: int, lead=()) -> Tensor:
     """[H*W, C] token rows back to a C-contiguous [C,H,W] map; the inverse of `tokens`.
 
@@ -213,6 +260,7 @@ def feature_map(rows: Tensor, h: int, w: int, lead=()) -> Tensor:
     return _node(np.ascontiguousarray(stack).reshape(lead + (c, h, w)), "feature_map", (rows,), back)
 
 
+@recorded
 def concat(parts, axis: int) -> Tensor:
     parts = tuple(parts)
 
@@ -228,6 +276,7 @@ def concat(parts, axis: int) -> Tensor:
     return _node(np.concatenate([p.data for p in parts], axis=axis), "concat", parts, back)
 
 
+@recorded
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     if start < 0 or length < 0 or start + length > x.shape[axis]:
         raise DimensionError(
@@ -245,6 +294,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _node(np.ascontiguousarray(x.data[slicer]), "narrow", (x,), back)
 
 
+@recorded
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     """Integer-factor nearest-neighbor upsampling of a [C,H,W] map or a [B,C,H,W] stack."""
     if x.ndim not in (3, 4):
@@ -263,6 +313,7 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
 # -- dense kernels ----------------------------------------------------------
 
 
+@recorded
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x[..., D_in] @ weight[D_out, D_in]^T + bias[D_out]."""
     d_in, w_shape = x.data.shape[-1], weight.data.shape
@@ -303,6 +354,7 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int, h_out: int, w_out:
     return windows.copy().reshape(c_in * k * k, -1)
 
 
+@recorded
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution of a [C,H,W] map or a [B,C,H,W] stack with [C_out,C_in,k,k] weights, zero padding.
 
@@ -358,6 +410,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     return _node(out, "conv2d", (x, weight, bias), back)
 
 
+@recorded
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Row-wise normalization of [N,C] with biased variance."""
     if x.ndim != 2:
@@ -395,6 +448,7 @@ def _softmax_(s: np.ndarray) -> np.ndarray:
     return s
 
 
+@recorded
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of [N,M], stabilized by per-row max subtraction."""
     if x.ndim != 2:
@@ -407,6 +461,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _node(s, "softmax_rows", (x,), back)
 
 
+@recorded
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, items: int = 1) -> Tensor:
     """Multi-head softmax(Q K^T / sqrt(d)) V for queries [N,C] and keys/values [M,C].
 
@@ -484,6 +539,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, items: int = 1) -> Te
 # -- pooling ----------------------------------------------------------------
 
 
+@recorded
 def adaptive_pool(x: Tensor, mode: str, out_size) -> Tensor:
     """Pooling into equal bins: [C,H,W] -> [C,1,1] globally, or [N,C] -> [N,out] along rows.
 

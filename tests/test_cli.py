@@ -509,6 +509,31 @@ def test_checkpoint_holding_nan_is_exit_5_and_leaves_no_results_dir(tmp_path, sm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, target", [("forward", "mask.pgm"), ("eval", "report.csv")])
+def test_output_path_that_is_a_directory_is_exit_3_and_writes_nothing(tmp_path, small_config, image_pair, capsys,
+                                                                     command, target):
+    # every target is checked before the first write, so no run_metadata.txt
+    # names an output that was never written
+    if command == "forward":
+        ir, vis = image_pair
+        argv = ["forward", "--ir", ir, "--vis", vis]
+    else:
+        scenes = tmp_path / "data"
+        assert cli.main(["make-data", "--config", small_config, "--count", "1", "--out-dir", str(scenes)]) == 0
+        ckpt = tmp_path / "m.ckpt"
+        model = pipeline.build_model(io_formats.parse_config(SMALL_CFG), seed=0)
+        ckpt.write_bytes(io_formats.encode_checkpoint(model.store))
+        argv = ["eval", "--data", str(scenes), "--ckpt", str(ckpt)]
+    out = tmp_path / "o"
+    (out / target).mkdir(parents=True)
+    capsys.readouterr()
+    assert cli.main(argv + ["--config", small_config, "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "is a directory" in err and target in err
+    assert sorted(p.name for p in out.iterdir()) == [target]
+    assert not any((out / target).iterdir())
+
+
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts the entries of /proc/self/fd")
 @pytest.mark.filterwarnings("error::ResourceWarning")
 def test_checkpoint_loads_leave_no_file_descriptor_open(tmp_path, small_config):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ivgf import cli, fusion, gradcheck, tensor
+from ivgf import cli, fusion, gradcheck, pipeline, tensor
 from ivgf.errors import ConfigError
 from ivgf.tensor import Tensor, named_gradients, sigmoid
 
@@ -44,10 +44,12 @@ def test_scoring_matches_the_scalar_per_entry_oracle(monkeypatch, seed):
     assert (results[-1].worst in kinks) == (seed in (20, 38))
 
 
-def test_two_loss_evaluations_per_entry_and_one_tape_pass(monkeypatch):
+def test_one_tape_pass_and_two_full_loss_evaluations_per_tensor(monkeypatch):
+    # each tensor's first entry is evaluated by two full loss_fn() calls; its
+    # other entries replay the recorded kernel calls, with no loss_fn() call
     rng = np.random.default_rng(3)
     x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-    w = Tensor(rng.uniform(-1, 1, (3, 4)))
+    w = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
     taped, untaped, backward_passes = [], [], []
 
     def loss_fn():
@@ -59,10 +61,66 @@ def test_two_loss_evaluations_per_entry_and_one_tape_pass(monkeypatch):
         return named_gradients(*args)
 
     monkeypatch.setattr(gradcheck, "named_gradients", counted_gradients)
-    entries = {"x": {7, 0, 5, 11}}
-    err, worst = gradcheck._check_entries(loss_fn, {"x": x}, entries, gradcheck.DEFAULT_TOLERANCE)
-    assert (len(taped), len(untaped), len(backward_passes)) == (1, 2 * 4, 1)
-    assert err <= gradcheck.DEFAULT_TOLERANCE and worst.startswith("x[")
+    entries = {"x": {7, 0, 5, 11}, "w": {2, 9, 4}}
+    x_before, w_before = x.data.copy(), w.data.copy()
+    err, worst = gradcheck._check_entries(loss_fn, {"x": x, "w": w}, entries, gradcheck.DEFAULT_TOLERANCE)
+    assert (len(taped), len(untaped), len(backward_passes)) == (1, 2 * 2, 1)
+    assert err <= gradcheck.DEFAULT_TOLERANCE and worst[0] in "xw"
+    assert np.array_equal(x.data, x_before) and np.array_equal(w.data, w_before)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_replayed_differences_match_full_loss_evaluations(monkeypatch, check):
+    # four trials cover FEM's four wirings, TEM with and without adapters,
+    # and AGF at 1, 2 and 4 heads
+    result = getattr(gradcheck, check)(0, 4)
+    monkeypatch.setattr(gradcheck, "_check_entries", oracles.check_entries_naive)
+    expected = getattr(gradcheck, check)(0, 4)
+    assert (repr(result.max_err), result.worst) == (repr(expected.max_err), expected.worst)
+
+
+def test_a_loss_that_escapes_the_tape_fails_as_it_fails_the_oracle():
+    # np.tanh on x.data makes a constant the tape never sees; the first
+    # entry's full evaluations still see the loss move with it
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+
+    def loss_fn():
+        return (sigmoid(x) * Tensor(np.tanh(x.data))).sum()
+
+    entries = {"x": set(range(x.size))}
+    for check in (gradcheck._check_entries, oracles.check_entries_naive):
+        err, worst = check(loss_fn, {"x": x}, entries, gradcheck.DEFAULT_TOLERANCE)
+        assert err > gradcheck.DEFAULT_TOLERANCE and worst.startswith("x["), check
+
+
+def _doubled(t):
+    # a kernel on the tape that was never made @recorded: a replay cannot re-run it
+    return tensor._node(t.data * 2.0, "doubled", (t,), lambda g: (2.0 * g,))
+
+
+def test_a_kernel_that_is_not_recorded_fails_the_block(monkeypatch):
+    tem_forward = fusion.tem_forward
+    monkeypatch.setattr(fusion, "tem_forward", lambda tx, ty, tem: [_doubled(t) for t in tem_forward(tx, ty, tem)])
+    result = gradcheck.check_tem(0, 1)
+    assert (result.max_err, result.worst, result.ok) == (np.inf, "doubled (not recorded)", False)
+    # the oracle, which never replays, finds the same gradients right
+    monkeypatch.setattr(gradcheck, "_check_entries", oracles.check_entries_naive)
+    assert gradcheck.check_tem(0, 1).ok
+
+
+def test_every_node_of_the_composed_loss_is_recorded():
+    model = pipeline.build_model(gradcheck._small_config(), seed=0)
+    rng = np.random.default_rng(6)
+    ir = Tensor(rng.uniform(0, 1, (3, 32, 32)), requires_grad=True)
+    vis = Tensor(rng.uniform(0, 1, (3, 32, 32)))
+    with tensor.record() as calls:
+        _, logits = pipeline.model_forward(model, ir, vis)
+        loss = pipeline.cross_entropy(logits, rng.integers(0, 3, (32, 32)))
+    made = {call[0] for call in calls}
+    nodes = [node for node in tensor.trace(loss).nodes if node._parents]
+    assert nodes and all(node in made for node in nodes)
+    assert calls[-1][0] is loss and tensor._calls is None
 
 
 def test_rel_errors_is_elementwise_with_the_floor():
