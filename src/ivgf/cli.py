@@ -116,20 +116,22 @@ def _load_scene_dir(path: str, classes: int):
         mask_path = root / f"{stem}_mask.pgm"
         if not vis_path.exists() or not mask_path.exists():
             raise FileNotFoundError(f"scene {stem!r} is missing {vis_path.name} or {mask_path.name}")
+        ir = io_formats.read_pnm_file(ir_path)
+        vis = io_formats.read_pnm_file(vis_path)
+        if vis.shape != ir.shape:
+            raise DimensionError(f"{vis_path.name}: shape {vis.shape} does not match {ir_path.name} shape {ir.shape}")
         mask = io_formats.read_pgm_labels(mask_path)
+        if mask.shape != ir.shape[-2:]:
+            raise DimensionError(
+                f"{mask_path.name}: shape {mask.shape} does not match {ir_path.name} shape {ir.shape}"
+            )
         labeled = mask[mask != pipeline.IGNORE_LABEL]
         any_labeled |= labeled.size > 0
         if labeled.size and labeled.max() >= classes:
             raise FormatError(
                 f"{mask_path.name}: label {int(labeled.max())} exceeds head.classes = {classes}"
             )
-        scenes.append(
-            pipeline.SyntheticScene(
-                ir=io_formats.read_pnm_file(ir_path),
-                vis=io_formats.read_pnm_file(vis_path),
-                mask=mask,
-            )
-        )
+        scenes.append(pipeline.SyntheticScene(ir=ir, vis=vis, mask=mask))
     if not scenes:
         raise FileNotFoundError(f"no scenes (*_ir.ppm) found in {path}")
     if not any_labeled:

@@ -3,11 +3,11 @@
 Each block is rebuilt with fresh random parameters and inputs per trial;
 analytic gradients from the tape are compared entry by entry with an
 independent central-difference estimate of the same scalar loss, whose
-evaluations re-run only the recorded kernel calls a perturbed tensor
-reaches (see `_check_entries`). Where the two one-sided differences
-disagree by more than the block tolerance, the step may straddle a kink (a
-ReLU switching), so the tape entry is compared with whichever of the
-central and the two one-sided differences is closest.
+evaluations re-run, from the calls the tape nodes keep, only the nodes a
+perturbed tensor reaches (see `_check_entries`). Where the two one-sided
+differences disagree by more than the block tolerance, the step may
+straddle a kink (a ReLU switching), so the tape entry is compared with
+whichever of the central and the two one-sided differences is closest.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .io_formats import Config
 from .params import ParamStore
 from .rng import RngState
-from .tensor import Tensor, named_gradients, no_grad, record, trace
+from .tensor import Tensor, named_gradients, no_grad, trace
 
 DEFAULT_TOLERANCE = 1e-4
 COMPOSED_TOLERANCE = 1e-3
@@ -68,38 +68,18 @@ def finite_diff_pair(f, x: Tensor, i: int, eps: float) -> tuple[float, float]:
     return f_plus, f_minus
 
 
-def _tensor_inputs(args, kwargs) -> tuple:
-    """The Tensors among a recorded call's arguments, also inside a list or tuple (concat's parts)."""
-    found = []
-    for a in (*args, *kwargs.values()):
-        if isinstance(a, Tensor):
-            found.append(a)
-        elif isinstance(a, (list, tuple)):
-            found.extend(p for p in a if isinstance(p, Tensor))
-    return tuple(found)
-
-
-def _reached_calls(calls: list, inputs: list, t: Tensor) -> list:
-    """The recorded calls whose value depends on t through their arguments, in call order."""
-    reached, hit = {t}, []
-    for call, ins in zip(calls, inputs):
-        if any(p in reached for p in ins):
-            reached.add(call[0])
-            hit.append(call)
-    return hit
-
-
 def _check_entries(loss_fn, tensors: dict, entries: dict, tolerance: float) -> tuple[float, str]:
     """Compare tape gradients of loss_fn against FD on the chosen entries, in index order.
 
-    loss_fn runs once on the tape, inside `record()`. Each tensor's first
-    entry is then evaluated by two full untaped loss_fn() calls; every later
-    entry re-runs, under no_grad, only the recorded calls the tensor reaches,
-    rebinding their outputs' .data (restored afterwards). Kernels are
-    deterministic and never mutate their inputs, so a replayed loss equals a
-    full loss_fn() bit for bit. A computation that escapes the record shows
-    in the first entry's full evaluations; a non-leaf node on the tape that
-    no recorded call made fails the block as "<op> (not recorded)", with an
+    loss_fn runs once on the tape. Each tensor's first entry is then
+    evaluated by two full untaped loss_fn() calls; every later entry
+    re-runs, under no_grad, only the tape nodes the tensor reaches through
+    their parents, in creation order, each from its `_call` (its .data is
+    rebound, and restored afterwards). Kernels are deterministic and never
+    mutate their inputs, so a replayed loss equals a full loss_fn() bit for
+    bit. A computation that escapes the tape shows in the first entry's
+    full evaluations; a node with parents but no `_call` (a kernel that is
+    not `@recorded`) fails the block as "<op> (not recorded)", with an
     infinite error.
 
     The kink test, the choice of difference and the errors then run over all
@@ -108,17 +88,15 @@ def _check_entries(loss_fn, tensors: dict, entries: dict, tolerance: float) -> t
     finite one. A loss that is not finite has no gradient to compare and
     fails as the loss itself.
     """
-    with record() as calls:
-        loss = loss_fn()
+    loss = loss_fn()
     f0 = loss.item()
     if not np.isfinite(f0):
         return np.inf, "loss (non-finite)"
-    made = {call[0] for call in calls}
-    for node in trace(loss).nodes:
-        if node._parents and node not in made:
+    nodes = [node for node in trace(loss).nodes if node._parents]
+    for node in nodes:
+        if node._call is None:
             return np.inf, f"{node.op} (not recorded)"
     grads = named_gradients(loss, tensors)
-    inputs = None  # each call's Tensor arguments, once a tensor has entries to replay
 
     def value(_):
         with no_grad():  # a finite difference only evaluates f
@@ -132,20 +110,23 @@ def _check_entries(loss_fn, tensors: dict, entries: dict, tolerance: float) -> t
             continue
         pairs = [finite_diff_pair(value, t, int(idx[0]), FD_EPS)]
         if idx.size > 1:
-            if inputs is None:
-                inputs = [_tensor_inputs(args, kwargs) for _, _, args, kwargs in calls]
-            reached = _reached_calls(calls, inputs, t)
-            saved = [out.data for out, *_ in reached]
+            seen, reached = {t}, []
+            for node in nodes:
+                if any(p in seen for p in node._parents):
+                    seen.add(node)
+                    reached.append(node)
+            saved = [node.data for node in reached]
 
             def replay(_):
                 with no_grad():
-                    for out, kernel, args, kwargs in reached:
-                        out.data = kernel(*args, **kwargs).data
+                    for node in reached:
+                        kernel, args, kwargs = node._call
+                        node.data = kernel(*args, **kwargs).data
                 return loss.item()
 
             pairs += [finite_diff_pair(replay, t, int(i), FD_EPS) for i in idx[1:]]
-            for (out, *_), data in zip(reached, saved):
-                out.data = data
+            for node, data in zip(reached, saved):
+                node.data = data
         pairs = np.array(pairs)
         f_plus, f_minus = pairs[:, 0], pairs[:, 1]
         analytic = grads[name].reshape(-1)[idx]

@@ -17,9 +17,9 @@ Conventions:
     tape holds anyway as the parents' .data, with the helper the forward
     calls, so the rebuilt values are bit-identical
   * every kernel (and `Tensor.sum`, and `pipeline.cross_entropy`) is
-    `@recorded`: inside `record()` each call appends (out, kernel, args,
-    kwargs) to a list, so a caller can re-run just the calls a changed input
-    reaches; outside it a call costs one wrapper frame and one global check
+    `@recorded`: an output it puts on the tape keeps (kernel, args, kwargs)
+    as `_call`, so a caller can re-run from the tape just the nodes a
+    changed input reaches; a leaf, and so every `no_grad()` result, keeps None
 """
 
 from __future__ import annotations
@@ -46,45 +46,28 @@ LAYER_NORM_EPS = 1e-5  # added to layer_norm's variance before the square root
 # False inside no_grad(): _node then records nothing for backward.
 _grad_enabled = True
 
-# The list record() appends kernel calls to while it is open, else None.
-_calls = None
-
 
 def recorded(kernel):
-    """Make kernel append (out, kernel, args, kwargs) to the open record() list per call.
+    """Make kernel store (kernel, args, kwargs) as `_call` on each output it puts on the tape.
 
-    The undecorated kernel is what gets recorded, so re-running an entry
-    records nothing and skips this wrapper.
+    An output on the tape is one with parents. The undecorated kernel is
+    what gets stored, so re-running a `_call` skips this wrapper.
     """
 
     @functools.wraps(kernel)
     def call(*args, **kwargs):
         out = kernel(*args, **kwargs)
-        if _calls is not None:
-            _calls.append((out, kernel, args, kwargs))
+        if out._parents:
+            out._call = (kernel, args, kwargs)
         return out
 
     return call
 
 
-@contextmanager
-def record():
-    """Collect every `@recorded` kernel call made inside, in call order, into the list yielded.
-
-    The previous list (or none) returns on exit, also on error.
-    """
-    global _calls
-    previous, _calls = _calls, []
-    try:
-        yield _calls
-    finally:
-        _calls = previous
-
-
 class Tensor:
     """A dense float64 array plus an optional place on the autodiff tape."""
 
-    __slots__ = ("data", "requires_grad", "op", "_parents", "_backward_fn", "_seq")
+    __slots__ = ("data", "requires_grad", "op", "_parents", "_backward_fn", "_seq", "_call")
 
     def __init__(self, data, requires_grad=False, op="leaf", parents=(), backward_fn=None):
         # a float64 ndarray is kept as it is: np.asarray would return it unchanged
@@ -94,6 +77,7 @@ class Tensor:
         self._parents = parents if type(parents) is tuple else tuple(parents)
         self._backward_fn = backward_fn
         self._seq = next(_seq_counter)
+        self._call = None
 
     @property
     def shape(self):

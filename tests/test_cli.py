@@ -486,6 +486,31 @@ def test_eval_with_every_pixel_ignored_is_exit_3(tmp_path, small_config, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad_file, shape", [("b_mask.pgm", (16, 16)), ("b_vis.ppm", (3, 16, 32))])
+def test_eval_scene_file_of_another_size_is_exit_4_naming_it(tmp_path, small_config, capsys, monkeypatch,
+                                                             bad_file, shape):
+    # the sizes are checked while the directory is read, before any model is built
+    rng = np.random.default_rng(5)
+    data = tmp_path / "data"
+    data.mkdir()
+    for stem in ("a", "b"):
+        (data / f"{stem}_ir.ppm").write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 32, 32))))
+        (data / f"{stem}_vis.ppm").write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, (3, 32, 32))))
+        (data / f"{stem}_mask.pgm").write_bytes(io_formats.encode_pgm_labels(np.zeros((32, 32), dtype=np.int64)))
+    if bad_file.endswith(".ppm"):
+        (data / bad_file).write_bytes(io_formats.encode_pnm(rng.uniform(0, 1, shape)))
+    else:
+        (data / bad_file).write_bytes(io_formats.encode_pgm_labels(np.zeros(shape, dtype=np.int64)))
+    monkeypatch.setattr(pipeline, "build_model", lambda *a: pytest.fail("model built before the scenes were checked"))
+    out = tmp_path / "o"
+    code = cli.main(["eval", "--config", small_config, "--ckpt", str(tmp_path / "m.ckpt"),
+                     "--data", str(data), "--out-dir", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and bad_file in err[0] and str(shape) in err[0] and "(3, 32, 32)" in err[0], err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["forward", "eval"])
 def test_checkpoint_holding_nan_is_exit_5_and_leaves_no_results_dir(tmp_path, small_config, image_pair, capsys,
                                                                      command):

@@ -46,7 +46,7 @@ def test_scoring_matches_the_scalar_per_entry_oracle(monkeypatch, seed):
 
 def test_one_tape_pass_and_two_full_loss_evaluations_per_tensor(monkeypatch):
     # each tensor's first entry is evaluated by two full loss_fn() calls; its
-    # other entries replay the recorded kernel calls, with no loss_fn() call
+    # other entries replay the tape nodes from their calls, with no loss_fn() call
     rng = np.random.default_rng(3)
     x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
@@ -109,18 +109,54 @@ def test_a_kernel_that_is_not_recorded_fails_the_block(monkeypatch):
     assert gradcheck.check_tem(0, 1).ok
 
 
-def test_every_node_of_the_composed_loss_is_recorded():
+def _composed_inputs():
     model = pipeline.build_model(gradcheck._small_config(), seed=0)
     rng = np.random.default_rng(6)
     ir = Tensor(rng.uniform(0, 1, (3, 32, 32)), requires_grad=True)
     vis = Tensor(rng.uniform(0, 1, (3, 32, 32)))
-    with tensor.record() as calls:
-        _, logits = pipeline.model_forward(model, ir, vis)
-        loss = pipeline.cross_entropy(logits, rng.integers(0, 3, (32, 32)))
-    made = {call[0] for call in calls}
+    return model, ir, vis, rng.integers(0, 3, (32, 32))
+
+
+def test_every_node_of_the_composed_loss_is_recorded():
+    # every node with parents keeps the call that made it, whose only tensors
+    # are the node's parents, and re-running that call without a tape gives
+    # the node's value bit for bit
+    model, ir, vis, mask = _composed_inputs()
+    _, logits = pipeline.model_forward(model, ir, vis)
+    loss = pipeline.cross_entropy(logits, mask)
     nodes = [node for node in tensor.trace(loss).nodes if node._parents]
-    assert nodes and all(node in made for node in nodes)
-    assert calls[-1][0] is loss and tensor._calls is None
+    assert nodes[-1] is loss and all(node._call is not None for node in nodes)
+    with tensor.no_grad():
+        for node in nodes:
+            kernel, args, kwargs = node._call
+            values = [*args, *kwargs.values()]
+            values += [p for v in values if isinstance(v, (list, tuple)) for p in v]
+            parents = {id(p) for p in node._parents}
+            assert all(id(v) in parents for v in values if isinstance(v, Tensor)), node.op
+            again = kernel(*args, **kwargs)
+            assert again.data.shape == node.data.shape and again.data.tobytes() == node.data.tobytes(), node.op
+
+
+def test_leaves_and_untaped_outputs_keep_no_call(monkeypatch):
+    # predict runs under no_grad, so none of its intermediates holds a call tuple
+    model, ir, vis, mask = _composed_inputs()
+    made, init = [], Tensor.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", keep)
+    with tensor.no_grad():
+        _, logits = pipeline.model_forward(model, ir, vis)
+        loss = pipeline.cross_entropy(logits, mask)
+    monkeypatch.undo()
+    assert len(made) > 100 and loss in made and logits in made
+    assert [] == [t.op for t in made if t._parents or t._call is not None]
+    _, taped = pipeline.model_forward(model, ir, vis)
+    leaves = [node for node in tensor.trace(taped).nodes if not node._parents]
+    assert ir in leaves and all(node._call is None for node in leaves)
+    assert [] == [name for name, p in model.store.items() if p._call is not None]
 
 
 def test_rel_errors_is_elementwise_with_the_floor():
