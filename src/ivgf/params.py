@@ -73,24 +73,17 @@ class ParamStore:
         for name in arrays:
             self._params[name].data[...] = arrays[name]
 
-    def views(self, arena: np.ndarray) -> dict[str, np.ndarray]:
-        """{name: view} of a flat arena cut into the parameters' shapes, in store order."""
-        views, offset = {}, 0
-        for name, p in self._params.items():
-            views[name] = arena[offset : offset + p.data.size].reshape(p.data.shape)
-            offset += p.data.size
-        return views
-
     def pack(self) -> np.ndarray:
         """Move every parameter into one contiguous float64 arena and return it.
 
         Each parameter's .data becomes its view into the arena, so whatever
         writes .data in place writes the arena.
         """
-        arena = np.empty(sum(p.data.size for p in self._params.values()))
-        for p, view in zip(self._params.values(), self.views(arena).values()):
+        arena, offset = np.empty(sum(p.data.size for p in self._params.values())), 0
+        for p in self._params.values():
+            view = arena[offset : offset + p.data.size].reshape(p.data.shape)
             view[...] = p.data
-            p.data = view
+            p.data, offset = view, offset + view.size
         return arena
 
 

@@ -212,12 +212,11 @@ def make_dataset(seed: int, split: str, count: int, size: int, classes: int):
 # -- optimizer ---------------------------------------------------------------------
 
 
-# Values per chunk of the AdamW update. The update is memory-bound: a
-# chunk's four arena slices and two scratch buffers (6 x 32 k float64,
-# 1.5 MB) stay in cache through its 16 ufunc passes, where each pass over
-# the whole 39 MB toy.cfg arena falls out of cache. On toy.cfg 16 k-64 k
-# measured best, and 4 k or 128 k about 50% slower; the best size follows
-# the cache rather than the model, so it is a constant.
+# Values per chunk of the AdamW update. The update is memory-bound: a chunk
+# of a gradient, its three arena slices and two scratch buffers (6 x 32 k
+# float64, 1.5 MB) stay in cache through its 16 ufunc passes. On toy.cfg
+# 16 k-64 k measured best, and 4 k or 128 k about 50% slower; the cache, not
+# the model, sets the best size, so it is a constant.
 ADAMW_CHUNK = 32768
 # Moment decay rates and the denominator's guard, as in Loshchilov & Hutter.
 ADAMW_BETA1 = 0.9
@@ -229,10 +228,9 @@ class AdamW:
     """Adaptive moments with decoupled weight decay (Loshchilov & Hutter, ICLR 2019).
 
     Building it packs the store's parameters into one contiguous arena
-    (every .data becomes a view into it) and lays out arenas of the same
-    shape for the gradients and the two moments. `grads` holds the
-    gradient views by name; backward sums into them in place when handed
-    them as its `out`. `step` updates all four arenas in one chunked pass.
+    (every .data becomes a view into it) and lays out the two moment
+    arenas like it. A training step calls `begin_step` once, then `step`
+    with each gradient as soon as backward completes it.
     """
 
     def __init__(self, store: P.ParamStore, lr: float, weight_decay: float = 0.0):
@@ -241,53 +239,63 @@ class AdamW:
         self.weight_decay = weight_decay
         self.t = 0
         self.param_arena = store.pack()
-        self._data = [p.data for p in store.values()]  # the views each .data must still be
         # np.zeros, not zeros_like: calloc'd pages are zeroed on first touch, in the first step, not here
-        self.grad_arena = np.zeros(self.param_arena.shape)
-        self.grads = store.views(self.grad_arena)
         self.m = np.zeros(self.param_arena.shape)
         self.v = np.zeros(self.param_arena.shape)
+        # name -> (the view its .data must still be, its flat slices of the three arenas)
+        self._slots, lo = {}, 0
+        for name, p in store.items():
+            self._slots[name] = (p.data, *(a[lo : lo + p.size] for a in (self.param_arena, self.m, self.v)))
+            lo += p.size
         self._scratch = (np.empty(ADAMW_CHUNK), np.empty(ADAMW_CHUNK))
 
-    def step(self, grads: dict):
-        """One update from {name: gradient}; a gradient that is not its arena view is copied in."""
-        for (name, p), data, view in zip(self.store.items(), self._data, self.grads.values()):
-            if p.data is not data:
-                raise DetachedParameterError(
-                    f"parameter {name!r} was rebound after the optimizer packed it; write it in place"
-                )
-            g = grads[name]
-            if g is not view:
-                view[...] = g
+    def begin_step(self):
+        """Advance t, and with it the bias corrections: once per training step, before its gradients."""
         self.t += 1
+
+    def step(self, grads: dict):
+        """Update exactly the parameters named in {name: gradient}; every name, shape and view is checked first."""
+        if not self.t:
+            raise RuntimeError("AdamW.step before the first begin_step")
+        updates = []
+        for name, g in grads.items():
+            if name not in self._slots:
+                raise DimensionError(f"AdamW got a gradient for {name!r}, which is not one of its parameters")
+            data, *arenas = self._slots[name]
+            if self.store[name].data is not data:
+                raise DetachedParameterError(f"parameter {name!r} was rebound after AdamW packed it; write in place")
+            if g.shape != data.shape:
+                raise DimensionError(f"gradient for {name!r} has shape {g.shape}, the parameter {data.shape}")
+            updates.append((g.reshape(-1), *arenas))
         b1, b2, eps, lr = ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS, self.lr
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         decay = lr * self.weight_decay
-        for lo in range(0, self.param_arena.size, ADAMW_CHUNK):
-            hi = lo + ADAMW_CHUNK
-            p, g, m, v = self.param_arena[lo:hi], self.grad_arena[lo:hi], self.m[lo:hi], self.v[lo:hi]
-            u, w = (s[: p.size] for s in self._scratch)
-            # m = b1*m + (1-b1)*g
-            np.multiply(m, b1, out=m)
-            np.multiply(g, 1.0 - b1, out=u)
-            np.add(m, u, out=m)
-            # v = b2*v + ((1-b2)*g)*g
-            np.multiply(v, b2, out=v)
-            np.multiply(g, 1.0 - b2, out=u)
-            np.multiply(u, g, out=u)
-            np.add(v, u, out=v)
-            # u = (m/bc1) / (sqrt(v/bc2) + eps)
-            np.divide(v, bc2, out=u)
-            np.sqrt(u, out=u)
-            np.add(u, eps, out=u)
-            np.divide(m, bc1, out=w)
-            np.divide(w, u, out=u)
-            # p = (p - lr*u) - (lr*wd)*p
-            np.multiply(p, decay, out=w)
-            np.multiply(u, lr, out=u)
-            np.subtract(p, u, out=p)
-            np.subtract(p, w, out=p)
+        for grad, params, m_all, v_all in updates:
+            for lo in range(0, grad.size, ADAMW_CHUNK):
+                hi = lo + ADAMW_CHUNK
+                p, g, m, v = params[lo:hi], grad[lo:hi], m_all[lo:hi], v_all[lo:hi]
+                u, w = (s[: p.size] for s in self._scratch)
+                # m = b1*m + (1-b1)*g
+                np.multiply(m, b1, out=m)
+                np.multiply(g, 1.0 - b1, out=u)
+                np.add(m, u, out=m)
+                # v = b2*v + ((1-b2)*g)*g
+                np.multiply(v, b2, out=v)
+                np.multiply(g, 1.0 - b2, out=u)
+                np.multiply(u, g, out=u)
+                np.add(v, u, out=v)
+                # u = (m/bc1) / (sqrt(v/bc2) + eps)
+                np.divide(v, bc2, out=u)
+                np.sqrt(u, out=u)
+                np.add(u, eps, out=u)
+                np.divide(m, bc1, out=w)
+                np.divide(w, u, out=u)
+                # p = (p - lr*u) - (lr*wd)*p
+                np.multiply(p, decay, out=w)
+                np.multiply(u, lr, out=u)
+                np.subtract(p, u, out=p)
+                np.subtract(p, w, out=p)
 
 
 # -- model wiring -------------------------------------------------------------------
@@ -341,9 +349,8 @@ def train_step(model: Model, batch, optimizer: AdamW, aug_cfg: Config, aug_rng: 
     value = loss.item()
     if not np.isfinite(value):
         raise NonFiniteError(f"training loss went non-finite; first bad tensor: {_first_non_finite(loss)}")
-    grads = named_gradients(loss, dict(model.store.items()), out=optimizer.grads)
-    del loss  # release the tape before the optimizer step
-    optimizer.step(grads)
+    optimizer.begin_step()  # then each parameter is updated as soon as its gradient is complete
+    named_gradients(loss, dict(model.store.items()), on_ready=lambda name, g: optimizer.step({name: g}))
     return value
 
 

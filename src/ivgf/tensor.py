@@ -587,62 +587,59 @@ def trace(root: Tensor) -> Graph:
     return Graph(nodes)
 
 
-def backward(loss: Tensor, wrt, out=None) -> list:
+def backward(loss: Tensor, wrt, on_ready=None):
     """d(loss)/d(t) for each tensor t in wrt; zeros where the loss does not reach t.
 
-    A node's gradient is dropped once passed on to its parents, unless the
-    node is in wrt. With `out`, one array of t's shape per tensor t in wrt,
-    t's gradient is summed straight into its array and the array returned:
-    the first contribution is copied in and later ones added in place, in
-    the order the fresh sums take without `out`, and an array the loss does
-    not reach is zeroed. Only these arrays are written in place; every other
-    node's sum is a new array, because a closure may hand one array object
-    to two parents.
+    Without `on_ready` the gradients come back as a list in wrt's order.
+    With it, on_ready(i, grad) is called once per wrt[i] as soon as that
+    gradient is complete, and the walk then drops it: for a leaf, once the
+    closures of all its consumer edges have run (mul(x, x) is two edges);
+    for any other node, when the walk reaches it. Unreached tensors are
+    called with zeros at the end. on_ready must not write into grad: a
+    closure may hand one array object to two parents.
     """
     if loss.size != 1:
         raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
     wrt = list(wrt)
-    keep = set(wrt)
-    sinks = {}
-    if out is not None:
-        out = list(out)
-        if len(out) != len(wrt):
-            raise DimensionError(f"backward got {len(out)} output arrays for {len(wrt)} tensors")
-        sinks = dict(zip(wrt, out))
-    grads = {}
+    if on_ready is None:
+        grads = [None] * len(wrt)
+        backward(loss, wrt, grads.__setitem__)
+        return grads
+    slots = {}
+    for i, t in enumerate(wrt):
+        slots.setdefault(t, []).append(i)
+    nodes = trace(loss).nodes
+    edges = {}  # consumer edges still to run, per leaf in wrt: a leaf's own node comes last in the walk
+    for node in nodes:
+        for parent in node._parents:
+            if parent in slots and parent._backward_fn is None:
+                edges[parent] = edges.get(parent, 0) + 1
 
-    def accumulate(t, g):
-        sink = sinks.get(t)
-        if t not in grads:
-            if sink is not None:
-                np.copyto(sink, g)
-                g = sink
-            grads[t] = g
-        elif sink is None:
-            grads[t] = grads[t] + g
-        else:
-            np.add(sink, g, out=sink)
+    def ready(t, g):
+        for i in slots.pop(t):
+            on_ready(i, np.zeros_like(t.data) if g is None else g)
 
-    accumulate(loss, np.ones_like(loss.data))
-    for node in reversed(trace(loss).nodes):
-        g = grads.get(node) if node in keep else grads.pop(node, None)
-        if g is None or node._backward_fn is None:
-            continue
-        for parent, pg in zip(node._parents, node._backward_fn(g)):
-            if pg is not None and parent.requires_grad:
-                accumulate(parent, pg)
-    for t, sink in sinks.items():
-        if t not in grads:  # not reached this time: clear what an earlier pass left
-            sink.fill(0.0)
-            grads[t] = sink
-    return [grads[t] if t in grads else np.zeros_like(t.data) for t in wrt]
+    grads = {loss: np.ones_like(loss.data)}
+    for node in reversed(nodes):
+        g = grads.pop(node, None)
+        if node in slots:
+            ready(node, g)
+        if g is not None and node._backward_fn is not None:
+            for parent, pg in zip(node._parents, node._backward_fn(g)):
+                if pg is not None and parent.requires_grad:
+                    grads[parent] = grads[parent] + pg if parent in grads else pg
+        for parent in node._parents:
+            if parent in edges:
+                edges[parent] -= 1
+                if not edges[parent]:
+                    ready(parent, grads.pop(parent, None))
+    for t in list(slots):  # not reached
+        ready(t, None)
 
 
-def named_gradients(loss: Tensor, params, out=None) -> dict:
-    """Backward pass returning {name: gradient}; unreached params get zeros.
-
-    With `out` ({name: array} covering params), the gradients are summed
-    into those arrays in place, as `backward` does with its `out`.
-    """
-    arrays = None if out is None else [out[name] for name in params]
-    return dict(zip(params, backward(loss, params.values(), arrays)))
+def named_gradients(loss: Tensor, params, on_ready=None):
+    """{name: gradient} over {name: tensor}, or on_ready(name, grad) calls as `backward` makes them."""
+    names = list(params)
+    if on_ready is None:
+        return dict(zip(names, backward(loss, params.values())))
+    backward(loss, params.values(), lambda i, g: on_ready(names[i], g))

@@ -5,9 +5,10 @@ arrays in, plain arrays out, no calls into the tape. They exist so that
 every production code path can be compared against a second, dumber
 derivation of the same math. Two exceptions: inject_fault breaks a
 kernel's backward on purpose, so tests can show the gradient checks
-notice, and check_entries_naive takes its analytic gradients from the tape,
+notice, check_entries_naive takes its analytic gradients from the tape,
 because what it re-derives is the gradient check's scoring, not the
-gradients.
+gradients, and train_toy_arena trains the package's model, because what it
+re-derives is when the optimizer updates, not the model.
 """
 
 import math
@@ -15,9 +16,10 @@ import tracemalloc
 
 import numpy as np
 
-from ivgf import pipeline, tensor
+from ivgf import augment, pipeline, tensor
 from ivgf.gradcheck import FD_EPS, finite_diff_pair
-from ivgf.tensor import named_gradients, no_grad
+from ivgf.rng import RngState
+from ivgf.tensor import Tensor, named_gradients, no_grad
 
 
 def relu_naive(a):
@@ -451,3 +453,79 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak, held
+
+
+class ArenaAdamW:
+    """AdamW as one update over whole arenas, after the whole backward pass.
+
+    It packs the parameters like pipeline.AdamW, copies every gradient into
+    a gradient arena laid out like them, and then makes the same 16 ufunc
+    passes over all four arenas in chunks of pipeline.ADAMW_CHUNK.
+    """
+
+    def __init__(self, store, lr, weight_decay=0.0):
+        self.store = store
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.param_arena = store.pack()
+        self.grad_arena = np.zeros(self.param_arena.shape)
+        self.grads, offset = {}, 0
+        for name, p in store.items():
+            self.grads[name] = self.grad_arena[offset : offset + p.size].reshape(p.shape)
+            offset += p.size
+        self.m = np.zeros(self.param_arena.shape)
+        self.v = np.zeros(self.param_arena.shape)
+
+    def step(self, grads):
+        for name, view in self.grads.items():
+            view[...] = grads[name]
+        self.t += 1
+        b1, b2, eps, lr = pipeline.ADAMW_BETA1, pipeline.ADAMW_BETA2, pipeline.ADAMW_EPS, self.lr
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        decay = lr * self.weight_decay
+        chunk = pipeline.ADAMW_CHUNK
+        u, w = np.empty(chunk), np.empty(chunk)
+        for lo in range(0, self.param_arena.size, chunk):
+            hi = lo + chunk
+            p, g, m, v = self.param_arena[lo:hi], self.grad_arena[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            u_, w_ = u[: p.size], w[: p.size]
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=u_)
+            np.add(m, u_, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1.0 - b2, out=u_)
+            np.multiply(u_, g, out=u_)
+            np.add(v, u_, out=v)
+            np.divide(v, bc2, out=u_)
+            np.sqrt(u_, out=u_)
+            np.add(u_, eps, out=u_)
+            np.divide(m, bc1, out=w_)
+            np.divide(w_, u_, out=u_)
+            np.multiply(p, decay, out=w_)
+            np.multiply(u_, lr, out=u_)
+            np.subtract(p, u_, out=p)
+            np.subtract(p, w_, out=p)
+
+
+def train_toy_arena(cfg, steps, seed):
+    """pipeline.train_toy with each step's whole backward first, then one ArenaAdamW step."""
+    model = pipeline.build_model(cfg, seed)
+    scenes = pipeline.make_dataset(seed, "train", cfg.data_train_scenes, cfg.data_image_size, cfg.head_classes)
+    optimizer = ArenaAdamW(model.store, lr=cfg.train_lr, weight_decay=cfg.train_weight_decay)
+    root = RngState(seed)
+    order_rng = root.derive("data", "order")
+    losses = []
+    for step in range(steps):
+        batch = [scenes[order_rng.randint(len(scenes))] for _ in range(cfg.train_batch_size)]
+        aug_rng = root.derive("augment", step)
+        pairs = [scene.images for scene in batch]
+        if cfg.aug_enabled:
+            pairs = [augment.cma_apply(ir, vis, cfg, aug_rng.derive(slot))[:2] for slot, (ir, vis) in enumerate(pairs)]
+        ir, vis = (Tensor(np.stack([pair[i].data for pair in pairs])) for i in (0, 1))
+        logits = pipeline.model_forward(model, ir, vis)[1]
+        loss = pipeline.cross_entropy(logits, np.stack([scene.mask for scene in batch]))
+        losses.append(loss.item())
+        optimizer.step(named_gradients(loss, dict(model.store.items())))
+    return model, losses

@@ -108,42 +108,95 @@ class TestBackwardSemantics:
         for a, b in zip(first, backward(loss, [x, y])):  # nothing carried over between calls
             assert np.array_equal(a, b)
 
-    def test_out_arrays_receive_the_fresh_gradients_in_place(self):
-        # x is reached three times, so its sum exercises the copy and both in-place adds
+    @staticmethod
+    def _calls(loss, wrt):
+        """backward's on_ready calls as (index, copy of the gradient), in call order."""
+        calls = []
+        backward(loss, wrt, lambda i, g: calls.append((i, g.copy())))
+        return calls
+
+    def test_on_ready_gets_one_call_per_tensor_bit_equal_to_the_fresh_gradient(self):
+        # x is reached three times (x * y, and x * x as two edges), so its
+        # gradient is complete only after the last of the three has run
         rng = np.random.default_rng(3)
         x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         y = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         loss = (relu(x * y) + x * x).sum()
-        fresh = backward(loss, [x, y])
-        out = [np.full((3, 4), 7.0), np.full((3, 4), 7.0)]
-        summed = backward(loss, [x, y], out=out)
-        for got, array, expected in zip(summed, out, fresh):
-            assert got is array
-            assert np.array_equal(got, expected)
+        mask = (x.data * y.data > 0.0) * 1.0
+        # the sums in the walk's order: x * x's two edges, then relu's
+        fresh = [(x.data + x.data) + mask * y.data, mask * x.data]
+        calls = self._calls(loss, [x, y])
+        assert sorted(i for i, _ in calls) == [0, 1]
+        for i, got in calls:
+            assert np.array_equal(got, fresh[i])
+        for got, want in zip(backward(loss, [x, y]), fresh):
+            assert np.array_equal(got, want)
+
+    def test_each_leaf_is_ready_once_its_last_consumer_has_run(self):
+        # the forward pass consumes x, then w1 (twice), then w2 (twice), so the
+        # walk finishes w2 first; writing each leaf's .data as it is handed
+        # over (as an optimizer would) leaves every other gradient as it was
+        rng = np.random.default_rng(4)
+        x, w1, w2 = (Tensor(rng.uniform(-1, 1, 5), requires_grad=True) for _ in range(3))
+
+        def loss():
+            h = (relu(x) * w1) * w1
+            return (sigmoid(h * w2) * w2).sum()
+
+        fresh = backward(loss(), [x, w1, w2])
+        order = []
+
+        def update(i, g):
+            order.append(i)
+            assert np.array_equal(g, fresh[i])
+            (x, w1, w2)[i].data[...] = np.nan
+
+        backward(loss(), [w1, w2, x], lambda i, g: update((1, 2, 0)[i], g))
+        assert order == [2, 1, 0]
 
     def test_array_handed_to_both_parents_is_never_summed_into(self):
         # add's backward hands one array object to x + y's two parents and to x
         x = Tensor(np.ones(3), requires_grad=True)
         y = Tensor(np.ones(3), requires_grad=True)
         loss = ((x + y) + x).sum()
-        for out in (None, [np.empty(3), np.empty(3)]):
-            gx, gy = backward(loss, [x, y], out=out)
-            assert np.array_equal(gx, [2.0, 2.0, 2.0]) and np.array_equal(gy, [1.0, 1.0, 1.0])
+        gx, gy = backward(loss, [x, y])
+        assert np.array_equal(gx, [2.0, 2.0, 2.0]) and np.array_equal(gy, [1.0, 1.0, 1.0])
+        calls = dict(self._calls(loss, [x, y]))
+        assert np.array_equal(calls[0], [2.0, 2.0, 2.0]) and np.array_equal(calls[1], [1.0, 1.0, 1.0])
 
-    def test_unreached_out_array_is_zeroed(self):
+    def test_unreached_tensor_is_called_with_zeros_at_the_end(self):
         x = Tensor(np.ones(3), requires_grad=True)
         y = Tensor(np.ones(2), requires_grad=True)
-        out = {"x": np.empty(3), "y": np.empty(2)}
-        named_gradients((x * y.sum()).sum(), {"x": x, "y": y}, out=out)
-        assert np.array_equal(out["y"], [3.0, 3.0])
-        grads = named_gradients(x.sum(), {"x": x, "y": y}, out=out)  # y no longer reached
-        assert grads["y"] is out["y"] and np.array_equal(out["y"], [0.0, 0.0])
-        assert np.array_equal(out["x"], [1.0, 1.0, 1.0])
+        calls = []
+        named_gradients(x.sum(), {"y": y, "x": x}, on_ready=lambda name, g: calls.append((name, g.copy())))
+        assert [name for name, _ in calls] == ["x", "y"]
+        assert np.array_equal(calls[0][1], [1.0, 1.0, 1.0]) and np.array_equal(calls[1][1], [0.0, 0.0])
 
-    def test_out_count_must_match(self):
+    def test_repeated_calls_carry_nothing_over(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(2), requires_grad=True)
+        params = {"x": x, "y": y}
+        both, x_only = (x * y.sum()).sum(), x.sum()
+        for loss, want_y in ((both, [3.0, 3.0]), (x_only, [0.0, 0.0]), (both, [3.0, 3.0])):
+            calls = {}
+            named_gradients(loss, params, on_ready=lambda name, g: calls.__setitem__(name, g.copy()))
+            assert np.array_equal(calls["y"], want_y)
+            assert np.array_equal(calls["x"], named_gradients(loss, params)["x"])
+
+    def test_wrt_tensor_with_parents_is_called_and_still_passes_its_gradient_on(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        h = x * x
+        loss = (h * h).sum()  # d/dh = 2h, d/dx = 2h * 2x
+        calls = self._calls(loss, [h, x])
+        assert [i for i, _ in calls] == [0, 1]
+        assert np.array_equal(calls[0][1], 2.0 * h.data)
+        assert np.array_equal(calls[1][1], backward(loss, [x])[0])
+        assert np.array_equal(calls[1][1], 4.0 * h.data * x.data)
+
+    def test_same_tensor_twice_in_wrt_gets_both_slots(self):
         x = Tensor(np.ones(2), requires_grad=True)
-        with pytest.raises(DimensionError, match="1 output arrays for 2"):
-            backward(x.sum(), [x, x], out=[np.empty(2)])
+        gx, again = backward((x * x).sum(), [x, x])
+        assert np.array_equal(gx, [2.0, 2.0]) and again is gx
 
 
 class TestNoGrad:

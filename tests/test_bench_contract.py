@@ -83,3 +83,23 @@ def test_worker_entry_points(tmp_path):
     assert 0.0 <= pipeline.miou(cm)[0] <= 1.0
     agf = model.encoder.agf[0]  # the worker's loop oracle reads these fields
     assert agf.heads and agf.xy.q_w is not None and agf.yx.v_b is not None and agf.merge_c_w is not None
+
+
+def test_train_step_hands_each_gradient_to_the_instance_step_once():
+    # the worker's train check wraps optimizer.step on the instance to take
+    # every parameter's gradient of the replayed step, then checks the update
+    model = pipeline.build_model(TINY, 0)
+    optimizer = pipeline.AdamW(model.store, lr=TINY.train_lr, weight_decay=TINY.train_weight_decay)
+    batch = pipeline.make_dataset(0, "train", 2, TINY.data_image_size, TINY.head_classes)
+    shapes = [(name, p.shape) for name, p in model.store.items()]
+    for step in range(2):
+        seen = []
+
+        def recording_step(grads):
+            seen.extend((name, g.shape) for name, g in grads.items())
+            return type(optimizer).step(optimizer, grads)
+
+        optimizer.step = recording_step
+        pipeline.train_step(model, batch, optimizer, TINY, RngState(0).derive("augment", step))
+        del optimizer.step
+        assert sorted(seen) == sorted(shapes)

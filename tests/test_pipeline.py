@@ -11,11 +11,11 @@ from ivgf import fusion, gradcheck, pipeline
 from ivgf.backbone import MultiScaleFeatures
 from ivgf import augment
 from ivgf.errors import DetachedParameterError, DimensionError, FormatError, NonFiniteError
-from ivgf.io_formats import Config, load_config
+from ivgf.io_formats import Config, encode_checkpoint, load_config
 from ivgf.params import ParamStore
 from ivgf.rng import RngState
 from ivgf.tensor import Tensor, backward, named_gradients, trace
-from oracles import finite_diff_grad, max_rel_error, traced_peak
+from oracles import finite_diff_grad, max_rel_error, traced_peak, train_toy_arena
 
 SMALL = Config(backbone_base_width=8, head_width=8, data_image_size=32)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -227,6 +227,7 @@ class TestAdamW:
         store = ParamStore()
         p = store.add("w", Tensor(np.array([2.0, -4.0])))
         opt = pipeline.AdamW(store, lr=0.1, weight_decay=0.5)
+        opt.begin_step()
         opt.step({"w": np.zeros(2)})
         assert np.allclose(p.data, np.array([2.0, -4.0]) * (1 - 0.1 * 0.5), atol=1e-15)
 
@@ -239,6 +240,7 @@ class TestAdamW:
         ref, m, v = 0.7, 0.0, 0.0
         for t in range(1, 6):
             grad = 2.0 * (ref - 3.0)  # d/dw (w-3)^2 at the reference iterate
+            opt.begin_step()
             opt.step({"w": np.array([2.0 * (p.data[0] - 3.0)])})
             m = b1 * m + (1 - b1) * grad
             v = b2 * v + (1 - b2) * grad * grad
@@ -261,7 +263,9 @@ class TestAdamW:
         v = {name: np.zeros_like(values) for name, values in start.items()}
         for t in range(1, 4):
             grads = {name: rng.uniform(-1, 1, values.shape) for name, values in start.items()}
-            opt.step(grads)
+            opt.begin_step()
+            for name in reversed(grads):  # one call per parameter, as backward makes them
+                opt.step({name: grads[name]})
             for name, g in grads.items():
                 m[name] = b1 * m[name] + (1.0 - b1) * g
                 v[name] = b2 * v[name] + (1.0 - b2) * g * g
@@ -271,24 +275,58 @@ class TestAdamW:
             assert np.array_equal(opt.m, np.concatenate([m[name].ravel() for name in start]))
             assert np.array_equal(opt.v, np.concatenate([v[name].ravel() for name in start]))
 
+    def _store(self):
+        store = ParamStore()
+        store.add("w", Tensor(np.array([1.0, 2.0, 3.0])))
+        store.add("b", Tensor(np.array([0.5])))
+        opt = pipeline.AdamW(store, lr=0.1, weight_decay=0.1)
+        opt.begin_step()
+        return store, opt
+
+    def test_step_updates_exactly_the_named_parameters(self):
+        store, opt = self._store()
+        opt.step({"b": np.array([1.0])})
+        assert np.array_equal(store["w"].data, [1.0, 2.0, 3.0])
+        assert store["b"].data[0] != 0.5
+        assert np.array_equal(opt.m[:3], np.zeros(3)) and np.array_equal(opt.v[:3], np.zeros(3))
+        assert opt.m[3] != 0.0 and opt.t == 1
+
+    @pytest.mark.parametrize("grads, match", [
+        ({"w": np.array([1.0])}, r"'w' has shape \(1,\), the parameter \(3,\)"),
+        ({"w": np.ones((3, 1))}, r"'w' has shape \(3, 1\), the parameter \(3,\)"),
+        ({"b": np.array([1.0]), "bias": np.array([1.0])}, "'bias'"),
+    ], ids=["broadcast", "extra_axis", "unknown_name"])
+    def test_bad_gradient_is_refused_by_name_before_anything_is_written(self, grads, match):
+        store, opt = self._store()
+        with pytest.raises(DimensionError, match=match):
+            opt.step(grads)
+        assert np.array_equal(opt.param_arena, [1.0, 2.0, 3.0, 0.5])
+        assert not opt.m.any() and not opt.v.any() and opt.t == 1
+
+    def test_step_before_begin_step_is_refused(self):
+        store = ParamStore()
+        store.add("w", Tensor(np.ones(2)))
+        opt = pipeline.AdamW(store, lr=0.1)
+        with pytest.raises(RuntimeError, match="begin_step"):
+            opt.step({"w": np.ones(2)})
+        assert np.array_equal(store["w"].data, np.ones(2))
+
+    def test_holds_the_parameter_and_two_moment_arenas_only(self):
+        store = pipeline.build_model(load_config(CONFIGS / "toy.cfg"), seed=0).store
+        param_bytes = sum(p.data.nbytes for p in store.values())
+        _, peak, _ = traced_peak(lambda: pipeline.AdamW(store, lr=1e-3))
+        mib = 2**20
+        assert peak <= 3 * param_bytes + mib, f"{peak / mib:.1f} MiB for {param_bytes / mib:.1f} MiB of parameters"
+
 
 class TestParameterArena:
-    def test_data_and_gradients_are_arena_views_after_a_train_step(self):
+    def test_data_are_arena_views_after_a_train_step(self):
         model = pipeline.build_model(SMALL, seed=0)
         opt = pipeline.AdamW(model.store, lr=1e-3, weight_decay=0.05)
-        seen = {}
-        step = opt.step
-
-        def recording_step(grads):
-            seen.update(grads)
-            step(grads)
-
-        opt.step = recording_step
         pipeline.train_step(model, pipeline.make_dataset(0, "train", 2, 32, 4), opt, Config(aug_enabled=False), None)
-        assert set(seen) == set(dict(model.store.items()))
+        assert opt.t == 1
         for name, p in model.store.items():
             assert np.shares_memory(p.data, opt.param_arena), name
-            assert np.shares_memory(seen[name], opt.grad_arena), name
 
     def test_checkpoint_load_and_gradcheck_randomize_write_the_arena(self):
         model = pipeline.build_model(SMALL, seed=0)
@@ -299,7 +337,8 @@ class TestParameterArena:
         gradcheck._randomize(model.store, RngState(2))
         for name, p in model.store.items():
             assert np.shares_memory(p.data, opt.param_arena), name
-        opt.step(opt.grads)  # every .data is still the view the optimizer packed
+        opt.begin_step()  # every .data is still the view the optimizer packed
+        opt.step({name: np.zeros_like(p.data) for name, p in model.store.items()})
 
     def test_rebound_data_is_refused_by_name(self):
         store = ParamStore()
@@ -307,9 +346,10 @@ class TestParameterArena:
         store.add("b", Tensor(np.ones(3)))
         opt = pipeline.AdamW(store, lr=0.1)
         store["b"].data = store["b"].data.copy()
+        opt.begin_step()
         with pytest.raises(DetachedParameterError, match="'b'"):
             opt.step({"a": np.ones(2), "b": np.ones(3)})
-        assert opt.t == 0 and np.array_equal(store["a"].data, np.ones(2))
+        assert np.array_equal(store["a"].data, np.ones(2)) and not opt.m.any()
 
     def test_duplicate_parameter_name_is_refused(self):
         store = ParamStore()
@@ -324,12 +364,18 @@ class TestParameterArena:
         b = store.add("b", Tensor(np.array([3.0])))
         opt = pipeline.AdamW(store, lr=0.1)
         params = dict(store.items())
-        first = named_gradients((a * b).sum(), params, out=opt.grads)
-        assert np.array_equal(first["b"], [3.0])
-        opt.step(first)
-        second = named_gradients(a.sum(), params, out=opt.grads)
-        assert second["b"] is opt.grads["b"] and np.array_equal(second["b"], [0.0])
-        assert np.array_equal(opt.grad_arena, [1.0, 1.0, 0.0])
+        seen = {}
+
+        def update(name, g):
+            seen[name] = g.copy()
+            opt.step({name: g})
+
+        opt.begin_step()
+        named_gradients((a * b).sum(), params, on_ready=update)
+        assert np.array_equal(seen["b"], [3.0])
+        opt.begin_step()
+        named_gradients(a.sum(), params, on_ready=update)
+        assert np.array_equal(seen["b"], [0.0]) and np.array_equal(seen["a"], [1.0, 1.0])
 
 
 class TestTraining:
@@ -393,8 +439,9 @@ class TestTapeMemory:
 
         A toy.cfg batch-2 step holds about 22 MiB of tape after the forward
         pass and peaks about 5 MiB higher in backward; while they were kept,
-        it held 41 MiB and peaked at 47 MiB. The gradients go into the optimizer's arena,
-        which is allocated before tracing, as in train_step.
+        it held 41 MiB and peaked at 47 MiB. The backward runs as in
+        train_step: each gradient goes to the optimizer as soon as it is
+        complete and is then dropped.
         """
         cfg = load_config(CONFIGS / "toy.cfg")
         model = pipeline.build_model(cfg, seed=0)
@@ -404,10 +451,26 @@ class TestTapeMemory:
         masks = np.stack([scene.mask for scene in scenes])
 
         loss, _, held = traced_peak(lambda: pipeline.cross_entropy(pipeline.model_forward(model, ir, vis)[1], masks))
-        _, peak, _ = traced_peak(lambda: named_gradients(loss, dict(model.store.items()), out=optimizer.grads))
+        optimizer.begin_step()
+        params = dict(model.store.items())
+        _, peak, _ = traced_peak(lambda: named_gradients(loss, params, on_ready=lambda n, g: optimizer.step({n: g})))
         mib = 2**20
         assert held < 27 * mib, f"{held / mib:.1f} MiB held after the forward pass"
         assert held + peak < 33 * mib, f"{(held + peak) / mib:.1f} MiB at the backward peak"
+
+
+class TestFusedUpdate:
+    """The update inside backward gives the bytes of a whole backward followed by one arena update."""
+
+    @pytest.mark.parametrize("cfg_name", ["toy.cfg", "toy_baseline.cfg"])
+    def test_three_steps_match_the_arena_optimizer_bytewise(self, cfg_name):
+        # toy.cfg's TEM parameters are consumed at layers 3, 6 and 9, so each
+        # is updated only after its third consumer's closure has run
+        cfg = load_config(CONFIGS / cfg_name)
+        model, losses = pipeline.train_toy(cfg, steps=3, seed=7)
+        arena_model, arena_losses = train_toy_arena(cfg, steps=3, seed=7)
+        assert losses == arena_losses
+        assert encode_checkpoint(model.store) == encode_checkpoint(arena_model.store)
 
 
 class TestBuiltParameters:
