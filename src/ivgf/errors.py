@@ -20,8 +20,4 @@ class FormatError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A loss or parameter went NaN/Inf (or overflows float32 storage); the message names where."""
-
-
-class DetachedParameterError(RuntimeError):
-    """A parameter's .data no longer views the optimizer's arena, so its update would be lost."""
+    """A loss, gradient or parameter went NaN/Inf (or overflows float32 storage); the message names where."""

@@ -395,7 +395,7 @@ _KEYS = {
     "agf.enabled": _parse_bool,
     "agf.heads": _number(int, lo=1),
     # Size bounds: with the other keys at their defaults or minimums, no array exceeds
-    # numpy's 2**63 - 1 bytes. The largest are the parameter arena (base_width), the
+    # numpy's 2**63 - 1 bytes. The largest are the widest parameters (base_width), the
     # head's [B, width, H/4, W/4] sum (head.width) and AGF1's [B, heads, (H/4)^2,
     # (W/4)^2] scores (image_size). Several raised keys together can still exceed it.
     "backbone.base_width": _number(int, lo=1, hi=2**23),

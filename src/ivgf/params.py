@@ -73,19 +73,6 @@ class ParamStore:
         for name in arrays:
             self._params[name].data[...] = arrays[name]
 
-    def pack(self) -> np.ndarray:
-        """Move every parameter into one contiguous float64 arena and return it.
-
-        Each parameter's .data becomes its view into the arena, so whatever
-        writes .data in place writes the arena.
-        """
-        arena, offset = np.empty(sum(p.data.size for p in self._params.values())), 0
-        for p in self._params.values():
-            view = arena[offset : offset + p.data.size].reshape(p.data.shape)
-            view[...] = p.data
-            p.data, offset = view, offset + view.size
-        return arena
-
 
 def weight(store: ParamStore, rng: RngState, name: str, shape, fan_in: int) -> Tensor:
     scale = 1.0 / math.sqrt(fan_in)

@@ -9,13 +9,14 @@ telling the classes apart genuinely requires looking at both inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import augment, backbone
 from . import params as P
-from .errors import DetachedParameterError, DimensionError, FormatError, NonFiniteError
+from .errors import DimensionError, FormatError, NonFiniteError
 from .io_formats import IGNORE_LABEL, Config
 from .rng import RngState
 from .tensor import (
@@ -213,10 +214,10 @@ def make_dataset(seed: int, split: str, count: int, size: int, classes: int):
 
 
 # Values per chunk of the AdamW update. The update is memory-bound: a chunk
-# of a gradient, its three arena slices and two scratch buffers (6 x 32 k
-# float64, 1.5 MB) stay in cache through its 16 ufunc passes. On toy.cfg
-# 16 k-64 k measured best, and 4 k or 128 k about 50% slower; the cache, not
-# the model, sets the best size, so it is a constant.
+# of a gradient, of its parameter, of its two moments and two scratch
+# buffers (6 x 32 k float64, 1.5 MB) stay in cache through its 16 ufunc
+# passes. On toy.cfg 16 k-64 k measured best, and 4 k or 128 k about 50%
+# slower; the cache, not the model, sets the best size, so it is a constant.
 ADAMW_CHUNK = 32768
 # Moment decay rates and the denominator's guard, as in Loshchilov & Hutter.
 ADAMW_BETA1 = 0.9
@@ -227,10 +228,10 @@ ADAMW_EPS = 1e-8
 class AdamW:
     """Adaptive moments with decoupled weight decay (Loshchilov & Hutter, ICLR 2019).
 
-    Building it packs the store's parameters into one contiguous arena
-    (every .data becomes a view into it) and lays out the two moment
-    arenas like it. A training step calls `begin_step` once, then `step`
-    with each gradient as soon as backward completes it.
+    Each parameter keeps its own two flat moment arrays, and `step` updates
+    the array that is the parameter's .data when it is called. A training
+    step calls `begin_step` once, then `step` with each gradient as soon as
+    backward completes it.
     """
 
     def __init__(self, store: P.ParamStore, lr: float, weight_decay: float = 0.0):
@@ -238,15 +239,8 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.param_arena = store.pack()
-        # np.zeros, not zeros_like: calloc'd pages are zeroed on first touch, in the first step, not here
-        self.m = np.zeros(self.param_arena.shape)
-        self.v = np.zeros(self.param_arena.shape)
-        # name -> (the view its .data must still be, its flat slices of the three arenas)
-        self._slots, lo = {}, 0
-        for name, p in store.items():
-            self._slots[name] = (p.data, *(a[lo : lo + p.size] for a in (self.param_arena, self.m, self.v)))
-            lo += p.size
+        # name -> (m, v), flat; np.zeros, not zeros_like: calloc'd pages are zeroed on first touch, in the first step, not here
+        self.moments = {name: (np.zeros(p.size), np.zeros(p.size)) for name, p in store.items()}
         self._scratch = (np.empty(ADAMW_CHUNK), np.empty(ADAMW_CHUNK))
 
     def begin_step(self):
@@ -254,19 +248,25 @@ class AdamW:
         self.t += 1
 
     def step(self, grads: dict):
-        """Update exactly the parameters named in {name: gradient}; every name, shape and view is checked first."""
+        """Update exactly the parameters named in {name: gradient}; every entry is checked before anything is written."""
         if not self.t:
             raise RuntimeError("AdamW.step before the first begin_step")
         updates = []
         for name, g in grads.items():
-            if name not in self._slots:
+            if name not in self.moments:
                 raise DimensionError(f"AdamW got a gradient for {name!r}, which is not one of its parameters")
-            data, *arenas = self._slots[name]
-            if self.store[name].data is not data:
-                raise DetachedParameterError(f"parameter {name!r} was rebound after AdamW packed it; write in place")
+            data = self.store[name].data
             if g.shape != data.shape:
                 raise DimensionError(f"gradient for {name!r} has shape {g.shape}, the parameter {data.shape}")
-            updates.append((g.reshape(-1), *arenas))
+            if not data.flags.c_contiguous:
+                raise DimensionError(f"parameter {name!r} is not C-contiguous, so its update would be lost in a copy")
+            grad = g.reshape(-1)
+            with np.errstate(over="ignore"):  # overflow shows up as inf, checked next
+                squares = np.dot(grad, grad)
+            # not finite when g holds a NaN or an infinity, or when its squares overflow (and so would v)
+            if not math.isfinite(squares):
+                raise NonFiniteError(f"gradient for {name!r} at step {self.t} is not finite or its squares overflow")
+            updates.append((grad, data.reshape(-1), *self.moments[name]))
         b1, b2, eps, lr = ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS, self.lr
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t

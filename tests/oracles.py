@@ -455,12 +455,26 @@ def traced_peak(fn):
     return result, peak, held
 
 
+def pack(store):
+    """Move every parameter of the store into one contiguous float64 arena and return it.
+
+    Each parameter's .data becomes its view into the arena, so whatever
+    writes .data in place writes the arena.
+    """
+    arena, offset = np.empty(sum(p.data.size for p in store.values())), 0
+    for p in store.values():
+        view = arena[offset : offset + p.data.size].reshape(p.data.shape)
+        view[...] = p.data
+        p.data, offset = view, offset + view.size
+    return arena
+
+
 class ArenaAdamW:
     """AdamW as one update over whole arenas, after the whole backward pass.
 
-    It packs the parameters like pipeline.AdamW, copies every gradient into
-    a gradient arena laid out like them, and then makes the same 16 ufunc
-    passes over all four arenas in chunks of pipeline.ADAMW_CHUNK.
+    It packs the parameters into one arena, copies every gradient into a
+    gradient arena laid out like it, and then makes pipeline.AdamW's 16
+    ufunc passes over all four arenas in chunks of pipeline.ADAMW_CHUNK.
     """
 
     def __init__(self, store, lr, weight_decay=0.0):
@@ -468,7 +482,7 @@ class ArenaAdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.param_arena = store.pack()
+        self.param_arena = pack(store)
         self.grad_arena = np.zeros(self.param_arena.shape)
         self.grads, offset = {}, 0
         for name, p in store.items():

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -440,6 +441,18 @@ def test_non_finite_loss_is_exit_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "non-finite" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_gradient_is_exit_5_naming_the_parameter_and_step(tmp_path, capsys):
+    # at this rate a gradient's squares overflow while the loss is still finite
+    assert _train_exploding(tmp_path, "1e6", 8) == 5
+    err = capsys.readouterr().err
+    match = re.fullmatch(r"non-finite: gradient for '(.+)' at step (\d+) is not finite or its squares overflow\n", err)
+    assert match, err
+    assert match[1] in dict(pipeline.build_model(io_formats.parse_config(SMALL_CFG), seed=1).store.items())
+    assert not (tmp_path / "o").exists()
+    step = int(match[2])
+    assert step > 1 and _train_exploding(tmp_path, "1e6", step - 1) == 0  # the steps before it were clean
 
 
 def test_checkpoint_overflowing_float32_is_exit_5(tmp_path, capsys):
