@@ -287,7 +287,7 @@ def agf_forward(fx: Tensor, fy: Tensor, agf: AgfParams) -> Tensor:
     # their gradients in another order
     a_xy = multi_head_attention(tokens(fx), tokens(fy), agf.xy, agf.heads, items)  # [B*HW, C]
     a_yx = multi_head_attention(tokens(fy), tokens(fx), agf.yx, agf.heads, items)
-    stacked = concat([feature_map(a_xy, h, w, lead), feature_map(a_yx, h, w, lead)], axis=-3)  # [.., 2C, H, W]
+    stacked = feature_map(concat([a_xy, a_yx], axis=1), h, w, lead)  # [.., 2C, H, W]
     merged = relu(conv2d(stacked, agf.merge_a_w, agf.merge_a_b))
     merged = conv2d(merged, agf.merge_b_w, agf.merge_b_b)
     return conv2d(merged, agf.merge_c_w, agf.merge_c_b, padding=1)

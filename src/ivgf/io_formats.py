@@ -15,7 +15,7 @@ import os
 import struct
 import weakref
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -308,50 +308,6 @@ def load_checkpoint(path) -> Checkpoint:
 # -- config files --------------------------------------------------------------
 
 
-@dataclass
-class Config:
-    fem_enabled: bool = True
-    fem_mode: str = "parallel"
-    tem_enabled: bool = True
-    tem_adapters: int = 2
-    agf_enabled: bool = True
-    agf_heads: int = 4
-    backbone_base_width: int = 32
-    backbone_depth: int = 9
-    head_width: int = 64
-    head_classes: int = 4
-    aug_enabled: bool = True
-    aug_grid_rows: int = 4
-    aug_grid_cols: int = 4
-    aug_p_cutmix: float = 0.25
-    aug_p_cutout: float = 0.5
-    aug_cutout_cells: int = 2
-    aug_fill_value: float = 0.0
-    train_lr: float = 1e-4
-    train_weight_decay: float = 0.05
-    train_batch_size: int = 2
-    train_seed: int = 7
-    data_train_scenes: int = 64
-    data_eval_scenes: int = 16
-    data_image_size: int = 64
-
-    def widths(self) -> tuple[int, int, int, int]:
-        w = self.backbone_base_width
-        return (w, 2 * w, 4 * w, 8 * w)
-
-    def dump(self) -> str:
-        """Canonical `key = value` lines, sorted, for run metadata."""
-        lines = []
-        for key in sorted(_KEYS):
-            value = getattr(self, key.replace(".", "_"))
-            if isinstance(value, bool):
-                text = "true" if value else "false"
-            else:
-                text = str(value)  # for a float, its shortest round-trip form
-            lines.append(f"{key} = {text}")
-        return "\n".join(lines) + "\n"
-
-
 def _parse_bool(raw: str):
     if raw not in ("true", "false"):
         raise ValueError("expected true or false")
@@ -386,38 +342,62 @@ def _parse_fem_mode(raw: str):
     return raw
 
 
-# dotted key -> value parser; the Config field is the key with "." -> "_"
-_KEYS = {
-    "fem.enabled": _parse_bool,
-    "fem.mode": _parse_fem_mode,
-    "tem.enabled": _parse_bool,
-    "tem.adapters": _number(int, lo=0),
-    "agf.enabled": _parse_bool,
-    "agf.heads": _number(int, lo=1),
+def _key(default, parse):
+    """A config key's field: its default, and the parser for its raw text."""
+    return field(default=default, metadata={"parse": parse})
+
+
+@dataclass
+class Config:
+    fem_enabled: bool = _key(True, _parse_bool)
+    fem_mode: str = _key("parallel", _parse_fem_mode)
+    tem_enabled: bool = _key(True, _parse_bool)
+    tem_adapters: int = _key(2, _number(int, lo=0))
+    agf_enabled: bool = _key(True, _parse_bool)
+    agf_heads: int = _key(4, _number(int, lo=1))
     # Size bounds: with the other keys at their defaults or minimums, no array exceeds
     # numpy's 2**63 - 1 bytes. The largest are the widest parameters (base_width), the
     # head's [B, width, H/4, W/4] sum (head.width) and AGF1's [B, heads, (H/4)^2,
     # (W/4)^2] scores (image_size). Several raised keys together can still exceed it.
-    "backbone.base_width": _number(int, lo=1, hi=2**23),
-    "backbone.depth": _number(int, lo=1),
-    "head.width": _number(int, lo=1, hi=2**50),
+    backbone_base_width: int = _key(32, _number(int, lo=1, hi=2**23))
+    backbone_depth: int = _key(9, _number(int, lo=1))
+    head_width: int = _key(64, _number(int, lo=1, hi=2**50))
     # class ids 0..classes-1 must stay below the ignore label
-    "head.classes": _number(int, lo=2, hi=IGNORE_LABEL),
-    "aug.enabled": _parse_bool,
-    "aug.grid_rows": _number(int, lo=1),
-    "aug.grid_cols": _number(int, lo=1),
-    "aug.p_cutmix": _number(float, lo=0.0, hi=1.0),
-    "aug.p_cutout": _number(float, lo=0.0, hi=1.0),
-    "aug.cutout_cells": _number(int, lo=0),
-    "aug.fill_value": _number(float),
-    "train.lr": _number(float, above=0),
-    "train.weight_decay": _number(float, lo=0),
-    "train.batch_size": _number(int, lo=1),
-    "train.seed": _number(int),
-    "data.train_scenes": _number(int, lo=1),
-    "data.eval_scenes": _number(int, lo=1),
-    "data.image_size": _number(int, lo=32, hi=2**16),
-}
+    head_classes: int = _key(4, _number(int, lo=2, hi=IGNORE_LABEL))
+    aug_enabled: bool = _key(True, _parse_bool)
+    aug_grid_rows: int = _key(4, _number(int, lo=1))
+    aug_grid_cols: int = _key(4, _number(int, lo=1))
+    aug_p_cutmix: float = _key(0.25, _number(float, lo=0.0, hi=1.0))
+    aug_p_cutout: float = _key(0.5, _number(float, lo=0.0, hi=1.0))
+    aug_cutout_cells: int = _key(2, _number(int, lo=0))
+    aug_fill_value: float = _key(0.0, _number(float))
+    train_lr: float = _key(1e-4, _number(float, above=0))
+    train_weight_decay: float = _key(0.05, _number(float, lo=0))
+    train_batch_size: int = _key(2, _number(int, lo=1))
+    train_seed: int = _key(7, _number(int))
+    data_train_scenes: int = _key(64, _number(int, lo=1))
+    data_eval_scenes: int = _key(16, _number(int, lo=1))
+    data_image_size: int = _key(64, _number(int, lo=32, hi=2**16))
+
+    def widths(self) -> tuple[int, int, int, int]:
+        w = self.backbone_base_width
+        return (w, 2 * w, 4 * w, 8 * w)
+
+    def dump(self) -> str:
+        """Canonical `key = value` lines, sorted, for run metadata."""
+        lines = []
+        for key in sorted(_KEYS):
+            value = getattr(self, key.replace(".", "_"))
+            if isinstance(value, bool):
+                text = "true" if value else "false"
+            else:
+                text = str(value)  # for a float, its shortest round-trip form
+            lines.append(f"{key} = {text}")
+        return "\n".join(lines) + "\n"
+
+
+# dotted key -> value parser, in field order (no section name holds a "_")
+_KEYS = {f.name.replace("_", ".", 1): f.metadata["parse"] for f in fields(Config)}
 
 
 def parse_config(text: str) -> Config:

@@ -39,9 +39,6 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def values(self):
-        return self._params.values()
-
     def load_arrays(self, arrays: Mapping[str, np.ndarray]):
         """Copy values in by name, in place; names and shapes must match exactly.
 

@@ -461,8 +461,8 @@ def pack(store):
     Each parameter's .data becomes its view into the arena, so whatever
     writes .data in place writes the arena.
     """
-    arena, offset = np.empty(sum(p.data.size for p in store.values())), 0
-    for p in store.values():
+    arena, offset = np.empty(sum(p.data.size for _, p in store.items())), 0
+    for _, p in store.items():
         view = arena[offset : offset + p.data.size].reshape(p.data.shape)
         view[...] = p.data
         p.data, offset = view, offset + view.size

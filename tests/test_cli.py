@@ -443,6 +443,16 @@ def test_non_finite_loss_is_exit_5(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_non_finite_training_loss_is_exit_5_naming_the_first_bad_tensor(tmp_path, capsys):
+    # one step at this rate leaves finite parameters (float64) that make the next loss overflow
+    assert _train_exploding(tmp_path, "1e308", 2) == 5
+    err = capsys.readouterr().err
+    # the node number comes from a process-wide counter, so only the prefix is pinned
+    assert len(err.splitlines()) == 1
+    assert err.startswith("non-finite: training loss went non-finite; first bad tensor: "), err
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_finite_gradient_is_exit_5_naming_the_parameter_and_step(tmp_path, capsys):
     # at this rate a gradient's squares overflow while the loss is still finite
     assert _train_exploding(tmp_path, "1e6", 8) == 5

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -405,13 +406,13 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         path.write_bytes(encode_checkpoint(pipeline.build_model(cfg, 2).store))
         _, peak, _ = traced_peak(lambda: store.load_arrays(load_checkpoint(path).arrays()))
-        assert peak <= max(4 * p.data.size for p in store.values()) + 2**20
+        assert peak <= max(4 * p.data.size for _, p in store.items()) + 2**20
 
     def test_build_peak_memory_is_about_the_parameters(self):
         # parameters are drawn in place, FILL_CHUNK values at a time: no whole-size temporaries
         cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "toy.cfg")
         store, peak, _ = traced_peak(lambda: pipeline.build_model(cfg, 3).store)
-        assert peak <= sum(p.data.nbytes for p in store.values()) + 2 * 2**20
+        assert peak <= sum(p.data.nbytes for _, p in store.items()) + 2 * 2**20
 
 
 # lines that name real keys reach the value parsers and the cross-key checks;
@@ -519,6 +520,17 @@ class TestConfig:
         keys = set(io_formats._KEYS)
         assert {key.replace(".", "_") for key in keys} == {f.name for f in dataclasses.fields(Config)}
         assert [line.split(" = ")[0] for line in Config().dump().splitlines()] == sorted(keys)
+
+    def test_readme_table_names_every_key_with_its_config_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+        documented = {key: default for row in rows for key, default in re.findall(r"`([\w.]+)` \(([^)]*)\)", row)}
+        assert sorted(documented) == sorted(io_formats._KEYS)
+        defaults = Config()
+        wrong = {key: default for key, default in documented.items()
+                 if io_formats._KEYS[key](default) != getattr(defaults, key.replace(".", "_"))}
+        assert not wrong, f"README defaults that differ from Config's: {wrong}"
 
     def test_a_seed_beyond_float_range_parses(self):
         digits = "9" * 400

@@ -320,7 +320,7 @@ class TestAdamW:
 
     def test_holds_the_parameter_and_two_moment_arenas_only(self):
         store = pipeline.build_model(load_config(CONFIGS / "toy.cfg"), seed=0).store
-        param_bytes = sum(p.data.nbytes for p in store.values())
+        param_bytes = sum(p.data.nbytes for _, p in store.items())
         _, peak, _ = traced_peak(lambda: pipeline.AdamW(store, lr=1e-3))
         mib = 2**20
         assert peak <= 2 * param_bytes + mib, f"{peak / mib:.1f} MiB for {param_bytes / mib:.1f} MiB of parameters"
@@ -542,7 +542,7 @@ class TestBuiltParameters:
     ])
     def test_shipped_config_sizes(self, cfg_name, tensors, values):
         store = pipeline.build_model(load_config(CONFIGS / cfg_name), seed=0).store
-        assert (len(store), sum(p.size for p in store.values())) == (tensors, values)
+        assert (len(store), sum(p.size for _, p in store.items())) == (tensors, values)
 
 
 class TestEvaluate:
